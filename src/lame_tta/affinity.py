@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import exact_sum, pairwise_sq_distances
+from .numerics import canonical_gram, exact_sum, pairwise_sq_distances
 
 SYMMETRY_ATOL = 1e-12
 
@@ -101,7 +101,9 @@ def linear_affinity(features: np.ndarray, normalize: bool = True) -> np.ndarray:
 
     With ``normalize`` the rows are L2-normalized first, giving cosine
     affinities in [-1, 1]; unnormalized dot products are allowed but can
-    produce large exponents downstream.
+    produce large exponents downstream. The product is
+    :func:`~lame_tta.numerics.canonical_gram`, so W is bitwise
+    permutation-equivariant.
     """
     X = _check_features(features)
     if normalize:
@@ -109,7 +111,7 @@ def linear_affinity(features: np.ndarray, normalize: bool = True) -> np.ndarray:
         if np.any(norms == 0):
             raise ValueError("cannot L2-normalize a zero feature row")
         X = X / norms
-    W = X @ X.T
+    W = canonical_gram(X)
     W = (W + W.T) / 2.0
     np.fill_diagonal(W, 0.0)
     return W

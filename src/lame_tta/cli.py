@@ -34,7 +34,7 @@ from .harness import (
     synthetic_family,
     timings_payload,
 )
-from .mapping import load_mapping, pool_average
+from .mapping import load_mapping, pool_rows
 from .numerics import softmax_rows
 from .solver import SolverConfig, lame_correct
 from .streams import (
@@ -99,7 +99,7 @@ def cmd_correct(args) -> None:
     # file order is preserved: correction is a filter, not an evaluation
     probs = softmax_rows(data.logits)
     if mapping is not None:
-        probs = np.stack([pool_average(row, mapping) for row in probs])
+        probs = pool_rows(probs, mapping)
     K = probs.shape[1]
 
     rows = ["sample,prediction," + ",".join(f"p{k}" for k in range(K))]

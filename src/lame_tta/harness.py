@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -324,6 +323,8 @@ def run_grid_jobs(
     if workers <= 1:
         per_job = [_run_cell(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_job = list(pool.map(_run_cell, jobs))
     return [r for job_results in per_job for r in job_results]

@@ -2,9 +2,9 @@
 
 A mapping assigns each source class to at most one target class (or to
 nothing, in which case its probability mass is dropped). Pooled vectors
-are renormalized so they remain valid probability vectors; group sums use
-correctly rounded summation so pooling commutes exactly with permutations
-inside a group.
+are renormalized so they remain valid probability vectors; group sums and
+row totals add their operands in value-sorted order, so pooling commutes
+exactly with permutations inside a group.
 
 Mapping file format (UTF-8, one entry per line):
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import exact_sum
+from .numerics import sorted_rowsums
 
 NULL_LABEL = "__null__"
 NULL_TARGET = -1
@@ -78,39 +78,36 @@ def identity_mapping(count: int) -> ClassMapping:
     return ClassMapping(count, count, tuple(range(count)))
 
 
-def _pool(q_source, m: ClassMapping, reducer) -> np.ndarray:
-    q = np.asarray(q_source, dtype=float)
-    if q.ndim != 1 or q.size != m.source_count:
-        raise ValueError(f"expected a length-{m.source_count} probability vector, got {q.shape}")
-    pooled = np.empty(m.target_count)
-    for z, group in enumerate(m.groups()):
-        pooled[z] = reducer(q[group])
-    total = exact_sum(pooled)
-    if total == 0.0:
-        raise MappingError("all probability mass fell on unmapped classes")
-    if total != 1.0:
-        pooled = pooled / total
-    return pooled
-
-
 def pool_average(q_source, m: ClassMapping) -> np.ndarray:
     """Mean of the source probabilities inside each target group, then
     renormalized. Mass on unmapped classes is dropped."""
-    return _pool(q_source, m, lambda g: exact_sum(g) / len(g))
+    return pool_rows(np.asarray(q_source, dtype=float)[None], m, "average")[0]
 
 
 def pool_max(q_source, m: ClassMapping) -> np.ndarray:
     """Max of the source probabilities inside each target group, then
     renormalized. Mass on unmapped classes is dropped."""
-    return _pool(q_source, m, lambda g: float(np.max(g)))
+    return pool_rows(np.asarray(q_source, dtype=float)[None], m, "max")[0]
 
 
 def pool_rows(Q: np.ndarray, m: ClassMapping, how: str = "average") -> np.ndarray:
-    """Pool every row of an (N, |Y|) matrix into (N, |Z|)."""
+    """Pool every row of an (N, |Y|) matrix into (N, |Z|), one target group
+    at a time."""
     if how not in ("average", "max"):
         raise ValueError(f"unknown pooling {how!r}")
-    fn = pool_average if how == "average" else pool_max
-    return np.stack([fn(row, m) for row in np.asarray(Q, dtype=float)])
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[1] != m.source_count:
+        raise ValueError(f"expected an (N, {m.source_count}) probability matrix, got {Q.shape}")
+    pooled = np.empty((Q.shape[0], m.target_count))
+    for z, group in enumerate(m.groups()):
+        if how == "average":
+            pooled[:, z] = sorted_rowsums(Q[:, group]) / len(group)
+        else:
+            pooled[:, z] = Q[:, group].max(axis=1)
+    total = sorted_rowsums(pooled)
+    if np.any(total == 0.0):
+        raise MappingError("all probability mass fell on unmapped classes")
+    return pooled / total[:, None]
 
 
 def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:

@@ -1,10 +1,10 @@
 """Shared numeric primitives: simplex vectors, stable softmax, divergences.
 
-Everything here runs at 64-bit precision. Reductions that downstream code
-relies on for reproducibility are computed in a value-canonical order
-(summands sorted before a fixed reduction tree, or correctly rounded via
-``math.fsum``), which makes results invariant to permutations of the
-operands and bitwise reproducible across runs and worker counts.
+Everything here runs at 64-bit precision. Per-vector reductions that must
+not depend on operand order sort their summands or use ``math.fsum``;
+batch-wide products run once in the canonical row layout of
+:func:`canonical_row_order` with plain numpy/BLAS
+(:func:`canonical_gram`) and are permuted back.
 """
 
 from __future__ import annotations
@@ -22,18 +22,30 @@ def exact_sum(values) -> float:
     return math.fsum(values)
 
 
-def exact_rowsums(x: np.ndarray) -> np.ndarray:
-    """Correctly rounded per-row sums of a 2-D array."""
-    return np.array([math.fsum(row) for row in np.asarray(x, dtype=float)])
-
-
 def sorted_rowsums(x: np.ndarray) -> np.ndarray:
-    """Per-row sums over value-sorted operands along the last axis.
-
-    Cheaper than :func:`exact_rowsums` and still order-canonical, which is
-    what the solver needs for permutation-equivariant iteration.
-    """
+    """Per-row sums over value-sorted operands along the last axis, so each
+    sum is invariant to the order of its operands."""
     return np.sort(x, axis=-1).sum(axis=-1)
+
+
+def canonical_row_order(M: np.ndarray) -> np.ndarray:
+    """Indices that sort the rows of a 2-D array by their bytes: not a
+    numeric order, but one that depends only on the row contents. Rows
+    equal in every byte keep their input order."""
+    M = np.ascontiguousarray(M)
+    if M.shape[1] == 0:
+        return np.arange(M.shape[0])
+    rows = M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
+    return np.argsort(rows, kind="stable")
+
+
+def canonical_gram(X: np.ndarray) -> np.ndarray:
+    """X @ X.T taken on the rows in :func:`canonical_row_order` and permuted
+    back, so permuting the rows of X permutes the result bitwise."""
+    order = canonical_row_order(X)
+    inv = np.argsort(order)
+    Xs = X[order]
+    return (Xs @ Xs.T)[np.ix_(inv, inv)]
 
 
 def simplex_vector(entries) -> np.ndarray:
@@ -114,24 +126,20 @@ def entropy(p) -> float:
     return -exact_sum(p[mask] * np.log(p[mask]))
 
 
-def entropy_rows(P: np.ndarray) -> np.ndarray:
-    """Row-wise entropies of an (N, K) matrix of probability rows."""
-    P = np.asarray(P, dtype=float)
-    terms = np.where(P > 0, P * np.log(np.where(P > 0, P, 1.0)), 0.0)
-    return -sorted_rowsums(terms)
-
-
 def pairwise_sq_distances(features: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances between feature rows.
 
     Exactly symmetric with an exactly zero diagonal; entries clipped at 0
-    against Gram-trick rounding.
+    against Gram-trick rounding. The Gram product is
+    :func:`canonical_gram`, so permuting the input rows permutes the result
+    bitwise.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("features must be a non-empty (N, d) matrix")
-    sq = np.einsum("ij,ij->i", X, X)
-    D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    G = canonical_gram(X)
+    sq = np.diag(G)
+    D = sq[:, None] + sq[None, :] - 2.0 * G
     D = (D + D.T) / 2.0
     np.clip(D, 0.0, None, out=D)
     np.fill_diagonal(D, 0.0)

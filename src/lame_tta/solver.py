@@ -18,8 +18,12 @@ is non-increasing whenever W plus a unit diagonal is positive semidefinite
 each unordered pair once, which is the convention the update's fixed point
 actually minimizes.
 
-All inner reductions are order-canonical, so solves are bitwise
-reproducible and exactly equivariant to row and column permutations.
+Determinism contract: :func:`lame_correct` fixes one canonical layout per
+batch and computes inside it with plain numpy/BLAS reductions (see its
+docstring), so a solve is bitwise reproducible, exactly equivariant to
+sample and class permutations up to exact ties, and does not depend on the
+BLAS thread count. :func:`lame_objective` and :func:`cccp_step` are single
+evaluations in the caller's layout and make no equivariance promise.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import PROB_FLOOR, exact_rowsums, sorted_rowsums
+from .numerics import PROB_FLOOR, canonical_row_order, sorted_rowsums
 
 MONOTONE_SLACK = 1e-9
 
@@ -57,10 +61,11 @@ class SolveDiagnostics:
 
 
 def clamp_probs(Q: np.ndarray) -> np.ndarray:
-    """Clamp probabilities to at least 1e-12 and renormalize rows exactly.
+    """Clamp probabilities to at least 1e-12 and renormalize the rows.
 
     The KL term is undefined against exact zeros; the clamp bounds the log
-    terms without measurably moving any prediction.
+    terms without measurably moving any prediction. Row sums are
+    value-sorted, so the result does not depend on the class order.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] < 1:
@@ -68,7 +73,7 @@ def clamp_probs(Q: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(Q)) or np.any(Q < 0):
         raise ValueError("Q must be finite and nonnegative")
     Qc = np.clip(Q, PROB_FLOOR, None)
-    return Qc / exact_rowsums(Qc)[:, None]
+    return Qc / sorted_rowsums(Qc)[:, None]
 
 
 def _check_pair(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> None:
@@ -76,37 +81,6 @@ def _check_pair(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> None:
         raise ValueError(f"Z and Q shapes differ: {Z.shape} vs {Q.shape}")
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != Z.shape[0]:
         raise ValueError(f"W must be ({Z.shape[0]}, {Z.shape[0]}), got {W.shape}")
-
-
-def _build_coupling(W: np.ndarray):
-    """Return E(Z)[i, k] = sum_j W[i, j] Z[j, k] with value-sorted sums.
-
-    Rows are bucketed by their nonzero count so the work scales with the
-    actual edge count; within each (row, class) the nonzero products are
-    sorted by value before a fixed reduction, making the result invariant
-    to any reordering of the samples.
-    """
-    N = W.shape[0]
-    mask = W != 0.0
-    nnz = mask.sum(axis=1)
-    buckets = []
-    for m in np.unique(nnz):
-        if m == 0:
-            continue
-        rows = np.flatnonzero(nnz == m)
-        cols = np.argsort(~mask[rows], axis=1, kind="stable")[:, :m]
-        vals = np.take_along_axis(W[rows], cols, axis=1)
-        buckets.append((rows, cols, vals))
-
-    def coupling(Z: np.ndarray) -> np.ndarray:
-        E = np.zeros_like(Z)
-        for rows, cols, vals in buckets:
-            P = vals[:, None, :] * Z[cols].transpose(0, 2, 1)  # (rows, K, m)
-            P.sort(axis=2)
-            E[rows] = P.sum(axis=2)
-        return E
-
-    return coupling
 
 
 def lame_objective(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> float:
@@ -122,14 +96,13 @@ def lame_objective(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> float:
     _check_pair(Z, Q, W)
     if np.any(Q <= 0):
         raise ValueError("Q rows must be strictly positive (see clamp_probs)")
-    E = _build_coupling(W)(Z)
-    return _objective_from_coupling(Z, np.log(Q), E)
+    return _objective_from_coupling(Z, np.log(Q), W @ Z)
 
 
 def _objective_from_coupling(Z: np.ndarray, logQ: np.ndarray, E: np.ndarray) -> float:
     safe = np.where(Z > 0, Z, 1.0)
     kl_terms = np.where(Z > 0, Z * (np.log(safe) - logQ), 0.0)
-    kl = float(sorted_rowsums(kl_terms).sum())
+    kl = float(kl_terms.sum())
     lap = 0.5 * float((Z * E).sum())
     return kl - lap
 
@@ -146,14 +119,35 @@ def cccp_step(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> np.ndarray:
     _check_pair(Z, Q, W)
     with np.errstate(divide="ignore"):
         logQ = np.log(Q)
-    return _step(Z, logQ, _build_coupling(W))
+    return _step(logQ, W @ Z)
 
 
-def _step(Z: np.ndarray, logQ: np.ndarray, coupling) -> np.ndarray:
-    V = logQ + coupling(Z)
+def _step(logQ: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The multiplicative update given the coupling E = W Z."""
+    V = logQ + E
     V -= V.max(axis=1, keepdims=True)
     U = np.exp(V)
-    return U / sorted_rowsums(U)[:, None]
+    return U / U.sum(axis=1, keepdims=True)
+
+
+def _sample_order(Qc: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows ordered by Q, exact ties split by colour refinement on W: each
+    round labels the rows by tie group and re-sorts them by (label, sorted
+    (neighbour label, weight) pairs) until no group splits."""
+    key, groups = Qc, 0
+    while True:
+        order = canonical_row_order(key)
+        k = key[order].view(np.int64)  # ties are rows equal in every byte
+        first = np.r_[True, np.any(k[1:] != k[:-1], axis=1)]
+        if first.all() or first.sum() == groups:
+            return order
+        groups = first.sum()
+        label = np.empty(len(order))
+        label[order] = np.cumsum(first)
+        L = np.broadcast_to(label, W.shape)
+        pairs = np.lexsort((W, L), axis=1)
+        key = np.hstack([label[:, None], np.take_along_axis(L, pairs, 1),
+                         np.take_along_axis(W, pairs, 1)])
 
 
 def lame_correct(
@@ -166,26 +160,34 @@ def lame_correct(
     ``cfg.tol`` or ``cfg.max_iter`` is reached. Non-convergence is reported
     through the diagnostics, never raised. The objective trace holds the
     objective at the initial point and after every iteration.
+
+    The solve runs in a layout that depends only on the values of Q and W:
+    classes ordered by their value-sorted columns of Q, samples by their Q
+    rows, then by :func:`_sample_order`. Z is permuted back, so permuting
+    samples or classes permutes Z bitwise, except among samples or classes
+    that stay tied (e.g. exact duplicates, or equal Q rows on a regular
+    kNN lattice): they keep input order, and permuting them may change Z.
     """
     Qc = clamp_probs(Q)
     W = np.asarray(W, dtype=float)
     _check_pair(Qc, Qc, W)
+    classes = canonical_row_order(np.sort(Qc, axis=0).T)
+    Qc = Qc[:, classes]
+    samples = _sample_order(Qc, W)
+    Qc = Qc[samples]
+    W = W[np.ix_(samples, samples)]
     logQ = np.log(Qc)
-    coupling = _build_coupling(W)
 
     Z = Qc
-    E = coupling(Z)
+    E = W @ Z
     trace = [_objective_from_coupling(Z, logQ, E)]
     iterations = 0
     delta = float("inf")
     converged = False
     for _ in range(cfg.max_iter):
-        V = logQ + E
-        V -= V.max(axis=1, keepdims=True)
-        U = np.exp(V)
-        Z_next = U / sorted_rowsums(U)[:, None]
-        delta = float(sorted_rowsums(np.abs(Z_next - Z)).max())
-        E = coupling(Z_next)
+        Z_next = _step(logQ, E)
+        delta = float(np.abs(Z_next - Z).sum(axis=1).max())
+        E = W @ Z_next
         trace.append(_objective_from_coupling(Z_next, logQ, E))
         Z = Z_next
         iterations += 1
@@ -202,6 +204,7 @@ def lame_correct(
         monotone=monotone,
         final_delta=delta,
     )
+    Z = Z[np.ix_(np.argsort(samples), np.argsort(classes))]
     return Z, diag
 
 

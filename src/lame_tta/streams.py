@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapping import ClassMapping, pool_average
+from .mapping import ClassMapping, pool_rows
 from .numerics import softmax_rows
 from .toy import RunningStats, ToyModel, fresh_model, toy_scores
 
@@ -339,7 +339,7 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
 
     probs = softmax_rows(data.logits[order])
     if spec.mapping is not None:
-        probs = np.stack([pool_average(row, spec.mapping) for row in probs])
+        probs = pool_rows(probs, spec.mapping)
     out_labels = labels_for_grouping[order] if labels_for_grouping is not None else None
 
     batches = []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,25 @@ def test_pool_rows_matches_scalar_pooling():
     R = pool_rows(Q, FOUR_TO_TWO, "average")
     for i in range(6):
         assert np.array_equal(R[i], pool_average(Q[i], FOUR_TO_TWO))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25)
+def test_pool_rows_matches_fsum_reference(seed):
+    # per-row reference with correctly rounded sums: the group-at-a-time
+    # path adds in another order, so it agrees to a few ulps
+    rng = np.random.default_rng(seed)
+    m = ClassMapping(7, 3, (0, 1, 0, 2, -1, 1, 0))
+    Q = rng.dirichlet(np.ones(7), size=20)
+    for how in ("average", "max"):
+        ref = []
+        for q in Q:
+            if how == "average":
+                pooled = [math.fsum(q[g]) / len(g) for g in m.groups()]
+            else:
+                pooled = [float(q[g].max()) for g in m.groups()]
+            ref.append(np.array(pooled) / math.fsum(pooled))
+        assert np.allclose(pool_rows(Q, m, how), ref, rtol=0.0, atol=1e-15)
 
 
 def test_parse_mapping_basic():

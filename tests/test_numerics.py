@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lame_tta.numerics import (
+    canonical_row_order,
     entropy,
     is_simplex,
     kl_divergence,
@@ -104,6 +105,18 @@ def test_entropy_bounded_by_log_k():
         P = rng.dirichlet(np.ones(K), size=1000)
         for p in P:
             assert entropy(p) <= math.log(K) + 1e-12
+
+
+def test_canonical_row_order_depends_only_on_row_contents():
+    rng = np.random.default_rng(4)
+    M = rng.integers(0, 3, size=(40, 3)).astype(float)  # many equal rows
+    order = canonical_row_order(M)
+    for _ in range(10):
+        p = rng.permutation(40)
+        assert np.array_equal(M[p][canonical_row_order(M[p])], M[order])
+    # rows equal in every byte keep their input order
+    assert np.array_equal(canonical_row_order(np.zeros((4, 2))), np.arange(4))
+    assert np.array_equal(canonical_row_order(np.zeros((3, 0))), np.arange(3))
 
 
 def test_pairwise_single_point():

@@ -1,9 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lame_tta.affinity import knn_affinity
+from lame_tta.affinity import KERNEL_KINDS, KernelSpec, knn_affinity
 from lame_tta.solver import (
     SolverConfig,
     cccp_step,
@@ -190,6 +196,82 @@ def test_sample_permutation_equivariance_knn_bitwise():
     Z, _ = lame_correct(Q, W)
     Z_perm, _ = lame_correct(Q[p], W[np.ix_(p, p)])
     assert np.array_equal(Z_perm, Z[p])
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_features_to_z_permutation_equivariance_bitwise(kind):
+    # the whole path from feature rows to Z, not only from a pre-built W:
+    # the rbf and linear Gram products must not depend on the row order
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        N, d, K = int(rng.integers(8, 80)), int(rng.integers(2, 40)), int(rng.integers(2, 30))
+        X = rng.standard_normal((N, d))
+        Q = random_probs(rng, N, K)
+        p = rng.permutation(N)
+        spec = KernelSpec(kind, k=min(5, N - 1))
+        W = spec.build(X)
+        W_p = spec.build(X[p])
+        assert np.array_equal(W_p, W[p][:, p])
+        Z, _ = lame_correct(Q, W)
+        Z_p, _ = lame_correct(Q[p], W_p)
+        assert np.array_equal(Z_p, Z[p])
+
+
+def blas_case_digests() -> list[str]:
+    """Z digests of three solves whose products are large enough for BLAS
+    to split across threads."""
+    digests = []
+    for seed, kind, N, K in ((0, "rbf", 512, 20), (1, "linear", 256, 50), (2, "knn", 64, 1000)):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((N, 32))
+        Z, _ = lame_correct(random_probs(rng, N, K), KernelSpec(kind, k=5).build(X))
+        digests.append(hashlib.sha256(Z.tobytes()).hexdigest())
+    return digests
+
+
+def test_blas_thread_count_invariance():
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", MKL_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_solver; print(*test_solver.blas_case_digests())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert child.stdout.split() == blas_case_digests()
+
+
+def test_duplicate_rows_solve_deterministically():
+    # rows equal in features and probabilities are exact ties of the
+    # canonical layout, which then falls back to input order
+    rng = np.random.default_rng(13)
+    idx = np.r_[np.arange(12), [0, 0, 3, 7]]
+    X = rng.standard_normal((12, 4))[idx]
+    Q = random_probs(rng, 12, 5)[idx]
+    for kind in KERNEL_KINDS:
+        W = KernelSpec(kind, k=3).build(X)
+        Z1, d1 = lame_correct(Q, W)
+        Z2, d2 = lame_correct(Q, W)
+        assert np.array_equal(Z1, Z2)
+        assert d1.objective_trace == d2.objective_trace
+        assert np.all(Z1 >= 0.0)
+        assert np.allclose(Z1.sum(axis=1), 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_equal_probability_rows_permutation_equivariance_bitwise(kind):
+    # Q rows drawn from two or three distinct vectors tie in bulk; the
+    # colour refinement on W must still pick one layout for every order
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        N, K = int(rng.integers(10, 80)), int(rng.integers(2, 8))
+        protos = random_probs(rng, int(rng.integers(2, 4)), K)
+        Q = protos[rng.integers(0, len(protos), N)]
+        X = rng.standard_normal((N, 6))
+        p = rng.permutation(N)
+        spec = KernelSpec(kind, k=5)
+        Z, _ = lame_correct(Q, spec.build(X))
+        Z_p, _ = lame_correct(Q[p], spec.build(X[p]))
+        assert np.array_equal(Z_p, Z[p])
 
 
 def test_determinism_across_runs():
