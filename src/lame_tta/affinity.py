@@ -8,7 +8,7 @@ self-affinity (zero diagonal) and return exactly symmetric matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +54,18 @@ class KernelSpec:
         return rbf_affinity(X, self.k)
 
 
+def batch_affinity(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
+    """The affinity of one batch: ``kernel`` with k clipped to N - 1, and an
+    all-zero W (the solve then returns the source probabilities) when the
+    batch has fewer than two rows."""
+    n = len(features)
+    if n < 2:
+        return np.zeros((n, n))
+    if kernel.k > n - 1:
+        kernel = replace(kernel, k=n - 1)
+    return kernel.build(features)
+
+
 def validate_affinity(W: np.ndarray, require_nonnegative: bool = True) -> None:
     """Raise unless W is square, symmetric within 1e-12, zero-diagonal."""
     W = np.asarray(W)
@@ -92,7 +104,7 @@ def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
     np.fill_diagonal(D, np.inf)
     nearest = np.argsort(D, axis=1, kind="stable")[:, :k]
     A = np.zeros((N, N))
-    np.put_along_axis(A, nearest, 1.0, axis=1)
+    A[np.arange(N)[:, None], nearest] = 1.0
     return (A + A.T) / 2.0
 
 
@@ -128,8 +140,9 @@ def rbf_affinity(features: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range for N={N} (need 1 <= k <= N-1)")
     D = pairwise_sq_distances(X)
-    offdiag = D + np.where(np.eye(N, dtype=bool), np.inf, 0.0)
-    kth_sq = np.sort(offdiag, axis=1)[:, k - 1]
+    offdiag = D.copy()
+    np.fill_diagonal(offdiag, np.inf)
+    kth_sq = np.partition(offdiag, k - 1, axis=1)[:, k - 1]
     sigma = exact_sum(np.sqrt(kth_sq)) / N
     if sigma == 0.0:
         raise ValueError("all points coincide; rbf bandwidth is zero")

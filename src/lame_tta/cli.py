@@ -15,13 +15,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .affinity import KernelSpec
+from .affinity import KernelSpec, batch_affinity
 from .config import ConfigError, family_from_kv, read_config, scenario_from_kv
 from .harness import (
     MethodSpec,
@@ -109,12 +108,7 @@ def cmd_correct(args) -> None:
         Q = probs[sl]
         X = data.features[sl]
         n = Q.shape[0]
-        k_eff = min(kernel.k, n - 1)
-        if n < 2 or k_eff < 1:
-            W = np.zeros((n, n))
-        else:
-            W = replace(kernel, k=k_eff).build(X)
-        Z, diag = lame_correct(Q, W, solver_cfg)
+        Z, diag = lame_correct(Q, batch_affinity(kernel, X), solver_cfg)
         preds = np.argmax(Z, axis=1)
         for i in range(n):
             rows.append(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .affinity import KernelSpec
+from .affinity import KernelSpec, batch_affinity
 from .solver import SolverConfig, lame_correct
 from .streams import (
     Batch,
@@ -93,6 +93,10 @@ class RunResult:
     n_samples: int
     overall_accuracy: float
     timings: dict[str, float]
+    # LAME solver health summed over the batches; 0 for the other methods
+    solver_iterations: int = 0
+    nonconverged_batches: int = 0
+    nonmonotone_batches: int = 0
 
     @property
     def n_batches(self) -> int:
@@ -224,6 +228,7 @@ def run_online(
     accs: list[float] = []
     correct = 0
     total = 0
+    solver_iterations = nonconverged = nonmonotone = 0
 
     for batch in stream:
         X = batch.features
@@ -237,13 +242,10 @@ def run_online(
             Q = np.asarray(batch.probs)
             timings["forward_emulation"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            n = len(batch)
-            k_eff = min(method.kernel.k, n - 1)
-            if n < 2 or k_eff < 1:
-                W = np.zeros((n, n))
-            else:
-                W = replace(method.kernel, k=k_eff).build(X)
-            Z, _ = lame_correct(Q, W, method.solver)
+            Z, diag = lame_correct(Q, batch_affinity(method.kernel, X), method.solver)
+            solver_iterations += diag.iterations
+            nonconverged += not diag.converged
+            nonmonotone += not diag.monotone
             preds = np.argmax(Z, axis=1)
             timings["optimization"] += time.perf_counter() - t0
         elif method.kind == "restandardize_only":
@@ -281,6 +283,9 @@ def run_online(
         n_samples=total,
         overall_accuracy=correct / total,
         timings=timings,
+        solver_iterations=solver_iterations,
+        nonconverged_batches=nonconverged,
+        nonmonotone_batches=nonmonotone,
     )
 
 

@@ -25,7 +25,7 @@ def exact_sum(values) -> float:
 def sorted_rowsums(x: np.ndarray) -> np.ndarray:
     """Per-row sums over value-sorted operands along the last axis, so each
     sum is invariant to the order of its operands."""
-    return np.sort(x, axis=-1).sum(axis=-1)
+    return np.add.reduce(np.sort(x, axis=-1), axis=-1)
 
 
 def canonical_row_order(M: np.ndarray) -> np.ndarray:
@@ -39,13 +39,20 @@ def canonical_row_order(M: np.ndarray) -> np.ndarray:
     return np.argsort(rows, kind="stable")
 
 
+def inverse_permutation(order: np.ndarray) -> np.ndarray:
+    """The permutation that undoes ``order``: ``x[order][inv] == x``."""
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    return inv
+
+
 def canonical_gram(X: np.ndarray) -> np.ndarray:
     """X @ X.T taken on the rows in :func:`canonical_row_order` and permuted
     back, so permuting the rows of X permutes the result bitwise."""
     order = canonical_row_order(X)
-    inv = np.argsort(order)
+    inv = inverse_permutation(order)
     Xs = X[order]
-    return (Xs @ Xs.T)[np.ix_(inv, inv)]
+    return (Xs @ Xs.T)[inv[:, None], inv]
 
 
 def simplex_vector(entries) -> np.ndarray:

@@ -22,8 +22,11 @@ Determinism contract: :func:`lame_correct` fixes one canonical layout per
 batch and computes inside it with plain numpy/BLAS reductions (see its
 docstring), so a solve is bitwise reproducible, exactly equivariant to
 sample and class permutations up to exact ties, and does not depend on the
-BLAS thread count. :func:`lame_objective` and :func:`cccp_step` are single
-evaluations in the caller's layout and make no equivariance promise.
+BLAS thread count. The loop reuses work arrays allocated once per call;
+the objective sums KL as z (log z - log q) and takes the 0 log 0 := 0 form
+only when Z holds exact zeros. :func:`lame_objective` and
+:func:`cccp_step` are single evaluations in the caller's layout and make
+no equivariance promise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import PROB_FLOOR, canonical_row_order, sorted_rowsums
+from .numerics import PROB_FLOOR, canonical_row_order, inverse_permutation, sorted_rowsums
 
 MONOTONE_SLACK = 1e-9
 
@@ -70,10 +73,11 @@ def clamp_probs(Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] < 1:
         raise ValueError("Q must be an (N, K) matrix of probability rows")
-    if not np.all(np.isfinite(Q)) or np.any(Q < 0):
+    lo = np.minimum.reduce(Q, axis=None, initial=0.0)  # NaN fails both tests
+    if not (lo >= 0.0 and np.maximum.reduce(Q, axis=None, initial=0.0) < np.inf):
         raise ValueError("Q must be finite and nonnegative")
-    Qc = np.clip(Q, PROB_FLOOR, None)
-    return Qc / sorted_rowsums(Qc)[:, None]
+    Qc = np.maximum(Q, PROB_FLOOR)
+    return np.divide(Qc, sorted_rowsums(Qc)[:, None], out=Qc)
 
 
 def _check_pair(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> None:
@@ -96,14 +100,30 @@ def lame_objective(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> float:
     _check_pair(Z, Q, W)
     if np.any(Q <= 0):
         raise ValueError("Q rows must be strictly positive (see clamp_probs)")
-    return _objective_from_coupling(Z, np.log(Q), W @ Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _objective_from_coupling(Z, np.log(Q), W @ Z)
 
 
-def _objective_from_coupling(Z: np.ndarray, logQ: np.ndarray, E: np.ndarray) -> float:
-    safe = np.where(Z > 0, Z, 1.0)
-    kl_terms = np.where(Z > 0, Z * (np.log(safe) - logQ), 0.0)
-    kl = float(kl_terms.sum())
-    lap = 0.5 * float((Z * E).sum())
+def _objective_from_coupling(
+    Z: np.ndarray, logQ: np.ndarray, E: np.ndarray, work: np.ndarray | None = None
+) -> float:
+    """The objective given the coupling E = W Z; ``work`` is an optional
+    scratch array of Z's shape. Callers silence divide/invalid warnings.
+
+    KL is taken as Z (log Z - log Q) directly. Where Z holds exact zeros
+    that sum is NaN (0 * -inf), and the 0 log 0 := 0 formula below gives
+    the value; elsewhere both formulas agree bitwise.
+    """
+    T = np.empty_like(Z) if work is None else work
+    np.log(Z, out=T)
+    np.subtract(T, logQ, out=T)
+    np.multiply(T, Z, out=T)
+    kl = float(np.add.reduce(T, axis=None))
+    if kl != kl:
+        safe = np.where(Z > 0, Z, 1.0)
+        kl = float(np.where(Z > 0, Z * (np.log(safe) - logQ), 0.0).sum())
+    np.multiply(Z, E, out=T)
+    lap = 0.5 * float(np.add.reduce(T, axis=None))
     return kl - lap
 
 
@@ -122,12 +142,17 @@ def cccp_step(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _step(logQ, W @ Z)
 
 
-def _step(logQ: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """The multiplicative update given the coupling E = W Z."""
-    V = logQ + E
-    V -= V.max(axis=1, keepdims=True)
-    U = np.exp(V)
-    return U / U.sum(axis=1, keepdims=True)
+def _step(
+    logQ: np.ndarray, E: np.ndarray, out: np.ndarray | None = None,
+    rowbuf: np.ndarray | None = None,
+) -> np.ndarray:
+    """The multiplicative update given the coupling E = W Z, written into
+    ``out`` when given; ``rowbuf`` is optional (N, 1) scratch."""
+    V = np.add(logQ, E, out=out)
+    m = np.maximum.reduce(V, axis=1, keepdims=True, out=rowbuf)
+    np.subtract(V, m, out=V)
+    np.exp(V, out=V)
+    return np.divide(V, np.add.reduce(V, axis=1, keepdims=True, out=m), out=V)
 
 
 def _sample_order(Qc: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -138,7 +163,8 @@ def _sample_order(Qc: np.ndarray, W: np.ndarray) -> np.ndarray:
     while True:
         order = canonical_row_order(key)
         k = key[order].view(np.int64)  # ties are rows equal in every byte
-        first = np.r_[True, np.any(k[1:] != k[:-1], axis=1)]
+        first = np.ones(len(order), dtype=bool)
+        np.any(k[1:] != k[:-1], axis=1, out=first[1:])
         if first.all() or first.sum() == groups:
             return order
         groups = first.sum()
@@ -174,29 +200,34 @@ def lame_correct(
     classes = canonical_row_order(np.sort(Qc, axis=0).T)
     Qc = Qc[:, classes]
     samples = _sample_order(Qc, W)
-    Qc = Qc[samples]
-    W = W[np.ix_(samples, samples)]
-    logQ = np.log(Qc)
+    Z = Qc[samples]
+    W = W[samples[:, None], samples]
+    logQ = np.log(Z)
 
-    Z = Qc
+    # Z and the next iterate swap buffers; T is scratch for the delta and
+    # the objective, and r (R as a column) for the per-row reductions.
+    Z_next, T, r = np.empty_like(Z), np.empty_like(Z), np.empty(len(Z))
+    R = r[:, None]
     E = W @ Z
-    trace = [_objective_from_coupling(Z, logQ, E)]
     iterations = 0
     delta = float("inf")
     converged = False
-    for _ in range(cfg.max_iter):
-        Z_next = _step(logQ, E)
-        delta = float(np.abs(Z_next - Z).sum(axis=1).max())
-        E = W @ Z_next
-        trace.append(_objective_from_coupling(Z_next, logQ, E))
-        Z = Z_next
-        iterations += 1
-        if delta < cfg.tol:
-            converged = True
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trace = [_objective_from_coupling(Z, logQ, E, T)]
+        for _ in range(cfg.max_iter):
+            _step(logQ, E, Z_next, R)
+            np.subtract(Z_next, Z, out=T)
+            np.abs(T, out=T)
+            delta = float(np.maximum.reduce(np.add.reduce(T, axis=1, out=r)))
+            np.matmul(W, Z_next, out=E)
+            trace.append(_objective_from_coupling(Z_next, logQ, E, T))
+            Z, Z_next = Z_next, Z
+            iterations += 1
+            if delta < cfg.tol:
+                converged = True
+                break
 
-    arr = np.asarray(trace)
-    monotone = bool(np.all(np.diff(arr) <= MONOTONE_SLACK)) if len(arr) > 1 else True
+    monotone = all(b - a <= MONOTONE_SLACK for a, b in zip(trace, trace[1:]))
     diag = SolveDiagnostics(
         iterations=iterations,
         objective_trace=trace,
@@ -204,8 +235,7 @@ def lame_correct(
         monotone=monotone,
         final_delta=delta,
     )
-    Z = Z[np.ix_(np.argsort(samples), np.argsort(classes))]
-    return Z, diag
+    return Z[inverse_permutation(samples)[:, None], inverse_permutation(classes)], diag
 
 
 def predictions(Z: np.ndarray) -> np.ndarray:

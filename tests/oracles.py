@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the solver.
 
 These deliberately avoid the package's own evaluation paths: objectives
-are recomputed from the formulas with plain numpy, and minimizers come
-from exhaustive grid scans.
+are recomputed from the formulas with plain numpy, minimizers come from
+exhaustive grid scans, and the reference LAME loop borrows only the
+package's canonical layout, not its iteration.
 """
 
 import numpy as np
@@ -81,3 +82,53 @@ def random_cosine_instance(rng, n_max=64, k_max=16, feature_dim=64):
     Q = np.clip(Q, 1e-12, None)
     Q = Q / Q.sum(axis=1, keepdims=True)
     return Q, W
+
+
+def reference_lame_loop(Q, W, tol=1e-8, max_iter=100):
+    """The LAME iteration written as plain formulas with fresh arrays and
+    the 0 log 0 := 0 objective, run in the canonical layout of
+    ``lame_correct`` and permuted back with argsort inverses.
+
+    Returns (Z, trace, iterations, converged, monotone, final_delta); every
+    item must equal what ``lame_correct`` returns, bit for bit.
+    """
+    from lame_tta.numerics import canonical_row_order
+    from lame_tta.solver import MONOTONE_SLACK, _sample_order, clamp_probs
+
+    Qc = clamp_probs(Q)
+    W = np.asarray(W, dtype=float)
+    classes = canonical_row_order(np.sort(Qc, axis=0).T)
+    Qc = Qc[:, classes]
+    samples = _sample_order(Qc, W)
+    Qc = Qc[samples]
+    W = W[np.ix_(samples, samples)]
+    logQ = np.log(Qc)
+
+    def objective(Z, E):
+        safe = np.where(Z > 0, Z, 1.0)
+        kl = float(np.where(Z > 0, Z * (np.log(safe) - logQ), 0.0).sum())
+        return kl - 0.5 * float((Z * E).sum())
+
+    def step(E):
+        V = logQ + E
+        V = V - V.max(axis=1, keepdims=True)
+        U = np.exp(V)
+        return U / U.sum(axis=1, keepdims=True)
+
+    Z = Qc
+    E = W @ Z
+    trace = [objective(Z, E)]
+    iterations, converged, delta = 0, False, float("inf")
+    for _ in range(max_iter):
+        Z_next = step(E)
+        delta = float(np.abs(Z_next - Z).sum(axis=1).max())
+        E = W @ Z_next
+        trace.append(objective(Z_next, E))
+        Z = Z_next
+        iterations += 1
+        if delta < tol:
+            converged = True
+            break
+    monotone = bool(np.all(np.diff(trace) <= MONOTONE_SLACK))
+    Z = Z[np.ix_(np.argsort(samples), np.argsort(classes))]
+    return Z, trace, iterations, converged, monotone, delta

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from lame_tta.affinity import (
     KernelSpec,
+    batch_affinity,
     knn_affinity,
     linear_affinity,
     psd_shift,
     rbf_affinity,
     validate_affinity,
 )
+from lame_tta.numerics import pairwise_sq_distances
 
 
 def random_features(seed, N=None, d=None):
@@ -204,3 +206,36 @@ def test_kernel_spec_dispatch():
     assert np.array_equal(KernelSpec("linear").build(X), linear_affinity(X, True))
     with pytest.raises(ValueError):
         KernelSpec("cubic")
+
+
+def test_batch_affinity_clips_k_and_zeroes_tiny_batches(monkeypatch):
+    X = random_features(5, N=4, d=3)
+    assert np.array_equal(batch_affinity(KernelSpec("knn", 5), X), knn_affinity(X, 3))
+    assert np.array_equal(batch_affinity(KernelSpec("rbf", 2), X), rbf_affinity(X, 2))
+    for n in (0, 1):
+        assert np.array_equal(batch_affinity(KernelSpec("knn", 5), X[:n]), np.zeros((n, n)))
+    # a k that already fits builds from the caller's spec, once
+    seen = []
+    monkeypatch.setattr(KernelSpec, "build", lambda self, F: seen.append(self) or 0)
+    spec = KernelSpec("knn", 3)
+    batch_affinity(spec, X)
+    assert len(seen) == 1 and seen[0] is spec
+
+
+def test_rbf_bandwidth_equals_full_sort_bitwise_on_tied_distances():
+    # integer lattice points tie on many distances; the partial selection
+    # of the k-th neighbour must give the full sort's sigma, hence the same W
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        N, k = int(rng.integers(6, 40)), int(rng.integers(1, 4))
+        X = rng.integers(0, 3, size=(N, 2)).astype(float)
+        D = pairwise_sq_distances(X)
+        offdiag = D + np.where(np.eye(N, dtype=bool), np.inf, 0.0)
+        sigma = math.fsum(np.sqrt(np.sort(offdiag, axis=1)[:, k - 1])) / N
+        if sigma == 0.0:
+            with pytest.raises(ValueError):
+                rbf_affinity(X, k)
+            continue
+        W = np.exp(-D / (2.0 * sigma * sigma))
+        np.fill_diagonal(W, 0.0)
+        assert rbf_affinity(X, k).tobytes() == W.tobytes()

@@ -18,6 +18,7 @@ from lame_tta.harness import (
     run_online,
     synthetic_family,
 )
+from lame_tta.solver import SolverConfig
 from lame_tta.streams import ScenarioSpec, SyntheticConfig
 from lame_tta.toy import AdaptConfig
 
@@ -70,6 +71,18 @@ def test_run_online_deterministic_modulo_timings():
     assert r1.batch_accuracies == r2.batch_accuracies
     for p1, p2 in zip(r1.batch_predictions, r2.batch_predictions):
         assert np.array_equal(p1, p2)
+
+
+def test_run_online_counts_solver_health():
+    stream, source = scenario("A").build(2)
+    capped = MethodSpec("lame", kernel=KernelSpec("knn", 5), solver=SolverConfig(max_iter=1))
+    res = run_online(stream, capped, 2, "A", source)
+    assert res.nonconverged_batches == res.n_batches
+    assert res.solver_iterations == res.n_batches
+    res = run_online(stream, MethodSpec("lame", kernel=KernelSpec("knn", 5)), 2, "A", source)
+    assert res.nonconverged_batches == 0 and res.solver_iterations > res.n_batches
+    base = run_online(stream, baseline_spec(), 2, "A", source)
+    assert (base.solver_iterations, base.nonconverged_batches, base.nonmonotone_batches) == (0, 0, 0)
 
 
 def test_accuracy_recomputable_from_stored_predictions():

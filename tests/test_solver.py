@@ -19,7 +19,12 @@ from lame_tta.solver import (
     predictions,
 )
 
-from oracles import grid_oracle_two_by_two, random_cosine_instance, reference_objective
+from oracles import (
+    grid_oracle_two_by_two,
+    random_cosine_instance,
+    reference_lame_loop,
+    reference_objective,
+)
 
 # 0.8 e / (0.8 e + 0.2), mpmath at 40 digits
 HAND_Z11 = 0.91577619159910260986
@@ -313,3 +318,48 @@ def test_solver_config_validation():
 def test_predictions_argmax_first_tie():
     Z = np.array([[0.4, 0.4, 0.2], [0.1, 0.8, 0.1]])
     assert predictions(Z).tolist() == [0, 1]
+
+
+def assert_matches_reference_loop(Q, W, cfg=SolverConfig()):
+    Z, diag = lame_correct(Q, W, cfg)
+    Z_ref, trace, iterations, converged, monotone, delta = reference_lame_loop(
+        Q, W, cfg.tol, cfg.max_iter
+    )
+    assert Z.tobytes() == Z_ref.tobytes()
+    assert np.array(diag.objective_trace).tobytes() == np.array(trace).tobytes()
+    assert (diag.iterations, diag.converged, diag.monotone) == (iterations, converged, monotone)
+    assert np.float64(diag.final_delta).tobytes() == np.float64(delta).tobytes()
+    return Z, diag
+
+
+def test_solve_matches_reference_loop_bitwise_on_knn_batches():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        N, K = int(rng.integers(2, 65)), int(rng.integers(2, 13))
+        X = rng.standard_normal((N, 4))
+        W = knn_affinity(X, min(5, N - 1))
+        assert_matches_reference_loop(random_probs(rng, N, K), W)
+
+
+def test_solve_matches_reference_loop_bitwise_when_z_underflows():
+    # affinities this strong drive some entries of Z to exact zeros, where
+    # z log z is NaN and the objective takes its 0 log 0 := 0 branch
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((16, 3))
+    Q = rng.dirichlet(np.ones(5), size=16)
+    Z, diag = assert_matches_reference_loop(Q, 1000.0 * knn_affinity(X, 3))
+    assert np.any(Z == 0.0)
+    assert np.all(np.isfinite(diag.objective_trace))
+
+
+def test_solve_matches_reference_loop_bitwise_when_capped():
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((40, 4))
+    Q = random_probs(rng, 40, 6)
+    _, diag = assert_matches_reference_loop(Q, knn_affinity(X, 5), SolverConfig(max_iter=2))
+    assert not diag.converged and diag.iterations == 2
+
+
+def test_clamp_probs_rejects_nan():
+    with pytest.raises(ValueError):
+        clamp_probs(np.array([[np.nan, 1.0]]))
