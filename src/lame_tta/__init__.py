@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 
 from .affinity import (
     KernelSpec,
-    PsdShift,
     knn_affinity,
     linear_affinity,
-    psd_shift,
     rbf_affinity,
 )
 from .harness import (

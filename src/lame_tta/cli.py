@@ -15,17 +15,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .affinity import KernelSpec, batch_affinity
+from .affinity import KERNEL_KINDS, KernelSpec, batch_affinity
 from .config import ConfigError, family_from_kv, read_config, scenario_from_kv
 from .harness import (
+    METHOD_KINDS,
     MethodSpec,
     Scenario,
+    aggregate_report,
     batch_size_sweep,
+    format_value,
     grid_search,
     matrix_from_rows,
     results_to_csv,
@@ -73,14 +77,8 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
 
 def _series_csv(xs, ys) -> str:
     lines = ["x,y"]
-    lines += [f"{_plain(x)},{_plain(y)}" for x, y in zip(xs, ys)]
+    lines += [f"{format_value(x)},{format_value(y)}" for x, y in zip(xs, ys)]
     return "\n".join(lines) + "\n"
-
-
-def _plain(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +112,7 @@ def cmd_correct(args) -> None:
             rows.append(
                 f"{start + i},{int(preds[i])}," + ",".join(repr(float(z)) for z in Z[i])
             )
-        diagnostics.append(
-            {
-                "batch": len(diagnostics),
-                "size": n,
-                "iterations": diag.iterations,
-                "converged": diag.converged,
-                "monotone": diag.monotone,
-                "final_delta": diag.final_delta,
-                "objective_trace": diag.objective_trace,
-            }
-        )
+        diagnostics.append({"batch": len(diagnostics), "size": n, **asdict(diag)})
     _write_text(out / "corrected.csv", "\n".join(rows) + "\n")
     _write_json(out / "diagnostics.json", diagnostics)
     _write_manifest(
@@ -227,7 +215,7 @@ def cmd_toy2d(args) -> None:
     )
 
 
-def _family_scenarios(kv) -> tuple[list[Scenario], list[int], dict]:
+def _family_scenarios(kv) -> tuple[list[Scenario], list[int]]:
     fam = family_from_kv(kv)
     scenarios = synthetic_family(
         fam.source,
@@ -236,13 +224,13 @@ def _family_scenarios(kv) -> tuple[list[Scenario], list[int], dict]:
         letters=fam.scenarios,
         mapping=fam.mapping,
     )
-    return scenarios, list(fam.seeds), kv
+    return scenarios, list(fam.seeds)
 
 
 def cmd_grid(args) -> None:
     out = Path(args.out)
     kv = read_config(args.config, args.set)
-    scenarios, seeds, kv = _family_scenarios(kv)
+    scenarios, seeds = _family_scenarios(kv)
     if args.seed is not None:
         seeds = [args.seed]
     result = grid_search(
@@ -294,7 +282,7 @@ def cmd_matrix(args) -> None:
 def cmd_sweep(args) -> None:
     out = Path(args.out)
     kv = read_config(args.config, args.set)
-    scenarios, seeds, kv = _family_scenarios(kv)
+    scenarios, seeds = _family_scenarios(kv)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     method = MethodSpec("lame", kernel=KernelSpec("knn", args.k))
     points = batch_size_sweep(scenarios, method, sizes, seeds, workers=args.workers)
@@ -318,30 +306,9 @@ def cmd_sweep(args) -> None:
 def cmd_report(args) -> None:
     out = Path(args.out)
     with open(args.results, "r", encoding="utf-8") as fh:
-        rows = rows_from_csv(fh.read())
-    groups: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        key = (row["scenario"], row["method"])
-        groups.setdefault(key, []).append(float(row["accuracy"]))
+        summary = aggregate_report(rows_from_csv(fh.read()))
     lines = ["scenario,method,runs,mean_accuracy,std_accuracy,min_accuracy,max_accuracy"]
-    summary = []
-    for (scenario, method) in sorted(groups):
-        vals = np.array(groups[(scenario, method)])
-        std = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-        rec = {
-            "scenario": scenario,
-            "method": method,
-            "runs": len(vals),
-            "mean_accuracy": float(vals.mean()),
-            "std_accuracy": std,
-            "min_accuracy": float(vals.min()),
-            "max_accuracy": float(vals.max()),
-        }
-        summary.append(rec)
-        lines.append(
-            f"{scenario},{method},{len(vals)},{repr(rec['mean_accuracy'])},"
-            f"{repr(std)},{repr(rec['min_accuracy'])},{repr(rec['max_accuracy'])}"
-        )
+    lines += [",".join(format_value(v) for v in rec.values()) for rec in summary]
     _write_text(out / "summary.csv", "\n".join(lines) + "\n")
     _write_json(out / "summary.json", summary)
     _write_manifest(out, "report", {"results": args.results}, None)
@@ -376,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correct", help="correct predictions in an embedding file")
     p.add_argument("--input", required=True)
-    p.add_argument("--kernel", choices=("knn", "linear", "rbf"), default="knn")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="knn")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--mapping", default=None)
     p.add_argument("--batch-size", type=int, default=64)
@@ -398,11 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_toy2d)
 
     p = sub.add_parser("grid", help="hyperparameter grid search over a scenario family")
-    p.add_argument(
-        "--method",
-        required=True,
-        choices=("lame", "entropy_min", "pseudo_label", "shot_im", "restandardize_only"),
-    )
+    p.add_argument("--method", required=True, choices=METHOD_KINDS[1:])
     common(p, config=True)
     p.set_defaults(func=cmd_grid)
 

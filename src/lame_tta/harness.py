@@ -477,11 +477,16 @@ def batch_size_sweep(
     return points
 
 
-def aggregate_report(results: list[RunResult]) -> list[dict]:
-    """Per (scenario, method): mean, sample std, min, max of accuracy."""
+def aggregate_report(results: list[RunResult] | list[dict]) -> list[dict]:
+    """Per (scenario, method): mean, sample std, min, max of accuracy, over
+    RunResults or over the rows of a results CSV (:func:`rows_from_csv`)."""
     groups: dict[tuple[str, str], list[float]] = {}
     for r in results:
-        groups.setdefault((r.scenario_id, r.method), []).append(r.overall_accuracy)
+        if isinstance(r, RunResult):
+            key, accuracy = (r.scenario_id, r.method), r.overall_accuracy
+        else:
+            key, accuracy = (r["scenario"], r["method"]), float(r["accuracy"])
+        groups.setdefault(key, []).append(accuracy)
     rows = []
     for (scenario, method) in sorted(groups):
         vals = np.array(groups[(scenario, method)])
@@ -504,9 +509,8 @@ def aggregate_report(results: list[RunResult]) -> list[dict]:
 # CSV emission / ingestion
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = (
-    "scenario",
-    "method",
+# named as the keys of MethodSpec.hyperparameters()
+HP_COLUMNS = (
     "kind",
     "kernel",
     "k",
@@ -515,6 +519,11 @@ RESULT_COLUMNS = (
     "momentum",
     "stat_momentum",
     "partition",
+)
+RESULT_COLUMNS = (
+    "scenario",
+    "method",
+    *HP_COLUMNS,
     "seed",
     "n_samples",
     "n_batches",
@@ -522,7 +531,8 @@ RESULT_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """A CSV cell: floats by ``repr``, None as empty, anything else by ``str``."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -540,14 +550,7 @@ def results_to_csv(results: list[RunResult]) -> str:
             [
                 r.scenario_id,
                 r.method,
-                hp.get("kind", ""),
-                _fmt(hp.get("kernel")),
-                _fmt(hp.get("k")),
-                _fmt(hp.get("normalize_features")),
-                _fmt(hp.get("lr")),
-                _fmt(hp.get("momentum")),
-                _fmt(hp.get("stat_momentum")),
-                _fmt(hp.get("partition")),
+                *(format_value(hp.get(column)) for column in HP_COLUMNS),
                 r.seed,
                 r.n_samples,
                 r.n_batches,

@@ -1,10 +1,13 @@
 """Shared numeric primitives: simplex vectors, stable softmax, divergences.
 
-Everything here runs at 64-bit precision. Per-vector reductions that must
-not depend on operand order sort their summands or use ``math.fsum``;
-batch-wide products run once in the canonical row layout of
-:func:`canonical_row_order` with plain numpy/BLAS
-(:func:`canonical_gram`) and are permuted back.
+Everything here runs at 64-bit precision. Reduction policy: batch-wide
+work runs once in the canonical row layout of :func:`canonical_row_order`
+with plain numpy/BLAS sums and products (:func:`canonical_gram`) and is
+permuted back, so the determinism contract is paid once per batch. Scalar
+sums over one vector use ``math.fsum``. Value-sorted row sums
+(:func:`sorted_rowsums`) remain only where a class permutation must
+commute with a row reduction before any canonical layout exists:
+:func:`softmax_rows`, ``solver.clamp_probs`` and ``mapping.pool_rows``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,6 @@ import numpy as np
 
 SIMPLEX_ATOL = 1e-9
 PROB_FLOOR = 1e-12
-
-
-def exact_sum(values) -> float:
-    """Correctly rounded sum of floats; invariant to operand order."""
-    return math.fsum(values)
 
 
 def sorted_rowsums(x: np.ndarray) -> np.ndarray:
@@ -69,7 +67,7 @@ def simplex_vector(entries) -> np.ndarray:
         raise ValueError("simplex vector entries must be finite")
     if np.any(v < 0):
         raise ValueError("simplex vector entries must be nonnegative")
-    total = exact_sum(v)
+    total = math.fsum(v)
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise ValueError(f"entries sum to {total!r}, expected 1 within {SIMPLEX_ATOL}")
     if total != 1.0:
@@ -84,7 +82,7 @@ def is_simplex(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> bool:
         and bool(np.all(np.isfinite(v)))
         and bool(np.all(v >= -atol))
         and bool(np.all(v <= 1.0 + atol))
-        and abs(exact_sum(v) - 1.0) <= atol
+        and abs(math.fsum(v) - 1.0) <= atol
     )
 
 
@@ -96,7 +94,7 @@ def softmax(logits) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax input must be finite")
     u = np.exp(z - z.max())
-    return u / exact_sum(u)
+    return u / math.fsum(u)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -123,14 +121,14 @@ def kl_divergence(p, q) -> float:
     mask = p > 0
     if np.any(q[mask] == 0):
         return math.inf
-    return exact_sum(p[mask] * np.log(p[mask] / q[mask]))
+    return math.fsum(p[mask] * np.log(p[mask] / q[mask]))
 
 
 def entropy(p) -> float:
     """Shannon entropy (nats) with 0*log(0) := 0."""
     p = np.asarray(p, dtype=float)
     mask = p > 0
-    return -exact_sum(p[mask] * np.log(p[mask]))
+    return -math.fsum(p[mask] * np.log(p[mask]))
 
 
 def pairwise_sq_distances(features: np.ndarray) -> np.ndarray:

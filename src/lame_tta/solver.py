@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .affinity import validate_affinity
 from .numerics import PROB_FLOOR, canonical_row_order, inverse_permutation, sorted_rowsums
 
 MONOTONE_SLACK = 1e-9
@@ -193,9 +194,17 @@ def lame_correct(
     samples or classes permutes Z bitwise, except among samples or classes
     that stay tied (e.g. exact duplicates, or equal Q rows on a regular
     kNN lattice): they keep input order, and permuting them may change Z.
+
+    W must pass :func:`~lame_tta.affinity.validate_affinity` (square,
+    finite, symmetric, zero diagonal; negative weights are allowed), and
+    the batch must hold at least one sample; anything else raises
+    ``ValueError``.
     """
     Qc = clamp_probs(Q)
+    if len(Qc) == 0:
+        raise ValueError("cannot correct an empty batch (N=0)")
     W = np.asarray(W, dtype=float)
+    validate_affinity(W, require_nonnegative=False)
     _check_pair(Qc, Qc, W)
     classes = canonical_row_order(np.sort(Qc, axis=0).T)
     Qc = Qc[:, classes]

@@ -372,24 +372,27 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
 _HEADER = struct.Struct("<4sIQIII")
 
 
+def _record_dtype(d: int, K: int, has_labels: bool, has_tasks: bool) -> np.dtype:
+    fields = [("features", "<f4", (d,)), ("logits", "<f4", (K,))]
+    if has_labels:
+        fields.append(("label", "<u4"))
+    if has_tasks:
+        fields.append(("task", "<u4"))
+    return np.dtype(fields)
+
+
 def save_embeddings(data: Dataset, path) -> None:
     """Write the dataset in the embedding container format (f32 payload)."""
-    flags = (FLAG_LABELS if data.labels is not None else 0) | (
-        FLAG_TASKS if data.task_ids is not None else 0
-    )
+    has_labels, has_tasks = data.labels is not None, data.task_ids is not None
+    flags = (FLAG_LABELS if has_labels else 0) | (FLAG_TASKS if has_tasks else 0)
     N, d = data.features.shape
     K = data.class_count
-    fields = [("features", "<f4", (d,)), ("logits", "<f4", (K,))]
-    if data.labels is not None:
-        fields.append(("label", "<u4"))
-    if data.task_ids is not None:
-        fields.append(("task", "<u4"))
-    rec = np.zeros(N, dtype=np.dtype(fields))
+    rec = np.zeros(N, dtype=_record_dtype(d, K, has_labels, has_tasks))
     rec["features"] = data.features.astype("<f4")
     rec["logits"] = data.logits.astype("<f4")
-    if data.labels is not None:
+    if has_labels:
         rec["label"] = data.labels.astype("<u4")
-    if data.task_ids is not None:
+    if has_tasks:
         rec["task"] = data.task_ids.astype("<u4")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, CONTAINER_VERSION, N, d, K, flags))
@@ -416,7 +419,8 @@ def load_embeddings(path) -> Dataset:
     if flags & ~(FLAG_LABELS | FLAG_TASKS):
         raise EmbeddingFormatError(f"unknown flag bits in {flags:#x}", 20)
 
-    rec_size = 4 * (d + K) + 4 * has_labels + 4 * has_tasks
+    dtype = _record_dtype(d, K, has_labels, has_tasks)
+    rec_size = dtype.itemsize
     expected = N * rec_size
     actual = len(blob) - _HEADER.size
     if actual != expected:
@@ -426,12 +430,7 @@ def load_embeddings(path) -> Dataset:
             _HEADER.size + min(actual, expected),
         )
 
-    fields = [("features", "<f4", (d,)), ("logits", "<f4", (K,))]
-    if has_labels:
-        fields.append(("label", "<u4"))
-    if has_tasks:
-        fields.append(("task", "<u4"))
-    rec = np.frombuffer(blob, dtype=np.dtype(fields), count=N, offset=_HEADER.size)
+    rec = np.frombuffer(blob, dtype=dtype, count=N, offset=_HEADER.size)
 
     features = rec["features"].astype(np.float64)
     logits = rec["logits"].astype(np.float64)

@@ -14,8 +14,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .numerics import sorted_rowsums
-
 if TYPE_CHECKING:  # pragma: no cover
     from .streams import Batch
 
@@ -117,10 +115,15 @@ def blend_stats(stats: RunningStats, X: np.ndarray, stat_momentum: float) -> Run
     return RunningStats((1 - m) * stats.mean + m * bm, (1 - m) * stats.var + m * bv, True)
 
 
-def _forward(model: ToyModel, X: np.ndarray, stats: RunningStats):
+def _head(model: ToyModel, X: np.ndarray, stats: RunningStats):
+    """Head scores plus the standardized and affine-transformed features."""
     xhat = (X - stats.mean) / np.sqrt(stats.var + VAR_EPS)
     h = model.scale * xhat + model.bias
-    U = h @ model.head_weights.T + model.head_bias
+    return h @ model.head_weights.T + model.head_bias, xhat, h
+
+
+def _forward(model: ToyModel, X: np.ndarray, stats: RunningStats):
+    U, xhat, h = _head(model, X, stats)
     U = U - U.max(axis=1, keepdims=True)
     Q = np.exp(U)
     Q /= Q.sum(axis=1, keepdims=True)
@@ -129,9 +132,7 @@ def _forward(model: ToyModel, X: np.ndarray, stats: RunningStats):
 
 def toy_scores(model: ToyModel, X: np.ndarray, stats: RunningStats) -> np.ndarray:
     """Raw head scores (pre-softmax) under the given statistics."""
-    X = np.asarray(X, dtype=float)
-    xhat = (X - stats.mean) / np.sqrt(stats.var + VAR_EPS)
-    return (model.scale * xhat + model.bias) @ model.head_weights.T + model.head_bias
+    return _head(model, np.asarray(X, dtype=float), stats)[0]
 
 
 def toy_predict(
@@ -327,7 +328,7 @@ def collapse_demo(
             correct += int((preds == batch.labels).sum())
             total += len(preds)
             logQ = _safe_log(Q)
-            ent_series.append(float(-sorted_rowsums(Q * logQ).mean()))
+            ent_series.append(float(-(Q * logQ).sum(axis=1).mean()))
             acc_series.append(correct / total)
         out[float(lr)] = (np.array(ent_series), np.array(acc_series))
     return out

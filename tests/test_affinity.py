@@ -10,7 +10,6 @@ from lame_tta.affinity import (
     batch_affinity,
     knn_affinity,
     linear_affinity,
-    psd_shift,
     rbf_affinity,
     validate_affinity,
 )
@@ -53,14 +52,29 @@ def test_knn_k_out_of_range():
         knn_affinity(X, 4)
 
 
-def test_knn_tie_breaking_lowest_index():
-    # point 0 is equidistant from 1 and 2; with k=1 it must pick index 1,
-    # so the 0-2 edge only gets the one-sided half weight from 2's side
+def test_knn_tie_breaking_canonical_order():
+    # point 0 is equidistant from 1 and 2; with k=1 it must pick the one
+    # first in canonical (byte) row order, [0, 1], whatever the input order,
+    # so the 0-1 edge only gets the one-sided half weight from 1's side
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     W = knn_affinity(X, 1)
-    assert W[0, 1] == 1.0
-    assert W[0, 2] == 0.5
+    assert W[0, 2] == 1.0
+    assert W[0, 1] == 0.5
     assert W[1, 2] == 0.0
+    p = [0, 2, 1]
+    assert np.array_equal(knn_affinity(X[p], 1), W[np.ix_(p, p)])
+
+
+def test_knn_permutation_equivariant_on_tied_lattice_distances():
+    # integer lattice points tie on many distances; the kNN choice among
+    # tied candidates must follow their values, not their input positions
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        X = np.unique(rng.integers(0, 3, size=(int(rng.integers(6, 16)), 2)), axis=0)
+        X = X[rng.permutation(len(X))].astype(float)
+        p = rng.permutation(len(X))
+        W = knn_affinity(X, min(3, len(X) - 1))
+        assert np.array_equal(knn_affinity(X[p], min(3, len(X) - 1)), W[np.ix_(p, p)])
 
 
 def test_linear_identical_unit_vectors():
@@ -161,42 +175,6 @@ def test_cosine_gram_is_psd():
         W = linear_affinity(X, normalize=True)
         eigs = np.linalg.eigvalsh(W + np.eye(len(W)))
         assert eigs.min() >= -1e-10
-
-
-def test_psd_shift_zero_matrix_unchanged():
-    W = np.zeros((4, 4))
-    res = psd_shift(W)
-    assert res.lambda_min == 0.0
-    assert res.diag_offset == 0.0
-    assert np.array_equal(res.matrix, W)
-
-
-def test_psd_shift_two_node_graph():
-    W = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = psd_shift(W)
-    assert res.lambda_min == pytest.approx(-1.0, abs=1e-12)
-    assert res.diag_offset == pytest.approx(1.0, abs=1e-12)
-
-
-def test_psd_shift_asymmetric_rejected():
-    with pytest.raises(ValueError):
-        psd_shift(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-
-def test_psd_shift_knn_repair_passes_eig_oracle():
-    X = random_features(5, N=32, d=4)
-    W = knn_affinity(X, 5)
-    res = psd_shift(W)
-    shifted = res.matrix + res.diag_offset * np.eye(32)
-    assert np.linalg.eigvalsh(shifted).min() >= -1e-10
-
-
-def test_psd_shift_power_iteration_agrees_with_dense():
-    X = random_features(9, N=40, d=6)
-    W = knn_affinity(X, 4)
-    exact = psd_shift(W).lambda_min
-    approx = psd_shift(W, exact_below=1).lambda_min
-    assert approx == pytest.approx(exact, abs=1e-3)
 
 
 def test_kernel_spec_dispatch():

@@ -58,6 +58,16 @@ def test_softmax_rows_matches_single():
         assert np.allclose(rows[i], softmax(L[i]), rtol=1e-15)
 
 
+def test_softmax_rows_commutes_with_class_permutation_bitwise():
+    # the reason softmax_rows keeps a value-sorted row sum: with a plain
+    # row sum most of these inputs give different bits once the columns move
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        logits = rng.standard_normal((4, 7))
+        perm = rng.permutation(7)
+        assert softmax_rows(logits[:, perm]).tobytes() == softmax_rows(logits)[:, perm].tobytes()
+
+
 def test_kl_identity_and_closed_forms():
     assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), rel=1e-15)

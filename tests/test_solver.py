@@ -363,3 +363,41 @@ def test_solve_matches_reference_loop_bitwise_when_capped():
 def test_clamp_probs_rejects_nan():
     with pytest.raises(ValueError):
         clamp_probs(np.array([[np.nan, 1.0]]))
+
+
+def knn_batch(seed=15, N=12, K=4):
+    rng = np.random.default_rng(seed)
+    return random_probs(rng, N, K), knn_affinity(rng.standard_normal((N, 3)), 3)
+
+
+def test_correct_rejects_nan_affinity():
+    # unchecked, a NaN weight gives an all-NaN Z, whose argmax is class 0
+    Q, W = knn_batch()
+    W[2, 5] = W[5, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lame_correct(Q, W)
+
+
+def test_correct_rejects_inf_affinity():
+    Q, W = knn_batch()
+    W[2, 5] = W[5, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        lame_correct(Q, W)
+
+
+def test_correct_rejects_asymmetric_affinity():
+    Q, W = knn_batch()
+    W[2, 5] += 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        lame_correct(Q, W)
+
+
+def test_correct_rejects_nonzero_diagonal():
+    Q, W = knn_batch()
+    with pytest.raises(ValueError, match="diagonal"):
+        lame_correct(Q, W + np.eye(len(W)))
+
+
+def test_correct_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        lame_correct(np.zeros((0, 4)), np.zeros((0, 0)))
