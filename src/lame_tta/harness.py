@@ -532,11 +532,12 @@ RESULT_COLUMNS = (
 
 
 def format_value(value) -> str:
-    """A CSV cell: floats by ``repr``, None as empty, anything else by ``str``."""
+    """A CSV cell: floats (numpy float64 too) by the ``repr`` of a Python
+    float, None as empty, anything else by ``str``."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

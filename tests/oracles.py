@@ -132,3 +132,27 @@ def reference_lame_loop(Q, W, tol=1e-8, max_iter=100):
     monotone = bool(np.all(np.diff(trace) <= MONOTONE_SLACK))
     Z = Z[np.ix_(np.argsort(samples), np.argsort(classes))]
     return Z, trace, iterations, converged, monotone, delta
+
+
+def reference_csv_rows(start, preds, Z):
+    """Rows of ``corrected.csv`` by the original per-value loop: the sample
+    index, the prediction, then ``repr(float(z))`` of every probability."""
+    return "".join(
+        f"{start + i},{int(preds[i])}," + ",".join(repr(float(z)) for z in Z[i]) + "\n"
+        for i in range(len(Z))
+    )
+
+
+def reference_corrected_csv(probs, features, kernel, batch_size, solver_cfg):
+    """``corrected.csv`` as ``lame correct`` wrote it in one process: one
+    solve per batch (the package's own), each batch's rows formatted as it
+    comes. Only the text is a reference here, not the solve."""
+    from lame_tta.affinity import batch_affinity
+    from lame_tta.solver import lame_correct
+
+    text = "sample,prediction," + ",".join(f"p{k}" for k in range(probs.shape[1])) + "\n"
+    for start in range(0, len(probs), batch_size):
+        sl = slice(start, start + batch_size)
+        Z, _ = lame_correct(probs[sl], batch_affinity(kernel, features[sl]), solver_cfg)
+        text += reference_csv_rows(start, np.argmax(Z, axis=1), Z)
+    return text

@@ -1,10 +1,16 @@
+import ast
 import json
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lame_tta.cli import main
+from lame_tta import csvrows
+from lame_tta.affinity import KernelSpec
+from lame_tta.cli import SHARE_MIN, main
 from lame_tta.config import (
     ConfigError,
     family_from_kv,
@@ -12,7 +18,11 @@ from lame_tta.config import (
     parse_source,
     scenario_from_kv,
 )
-from lame_tta.streams import Dataset, SyntheticConfig, save_embeddings
+from lame_tta.mapping import load_mapping, pool_rows
+from lame_tta.numerics import softmax_rows
+from lame_tta.solver import SolverConfig
+from lame_tta.streams import Dataset, SyntheticConfig, load_embeddings, save_embeddings
+from oracles import reference_corrected_csv, reference_csv_rows
 
 SMALL_SOURCE = "synthetic:K=4,d=6,n_per_class=50,spread=0.3,rotation=0.4,noise=0.25"
 
@@ -105,9 +115,6 @@ def test_correct_outputs_and_zero_affinity_identity(tmp_path, capsys):
     assert code == 0
     lines = (out / "corrected.csv").read_text().strip().splitlines()
     assert lines[0].startswith("sample,prediction,p0")
-    from lame_tta.numerics import softmax_rows
-    from lame_tta.streams import load_embeddings
-
     data = load_embeddings(inp)
     probs = softmax_rows(data.logits)
     first = lines[1].split(",")
@@ -141,6 +148,123 @@ def test_correct_mapping_mismatch_exit_code(tmp_path):
 def test_correct_missing_input_is_io_error(tmp_path):
     code = main(["correct", "--input", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+def main_bounded(argv, seconds=120):
+    """``main(argv)`` in a thread that must finish within ``seconds``."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"lame {argv[0]} still running after {seconds} s"
+    return result[0]
+
+
+FAN_OUT_ROWS, FAN_OUT_K = 160, 1000  # 160k values: three shares at --workers 4
+
+
+@pytest.mark.parametrize("kernel", ["knn", "rbf", "linear"])
+def test_correct_fan_out_same_bytes_for_any_worker_count(tmp_path, kernel):
+    assert FAN_OUT_ROWS * FAN_OUT_K >= 3 * SHARE_MIN
+    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
+    outputs = []
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"w{workers}"
+        assert main_bounded(
+            ["correct", "--input", str(inp), "--kernel", kernel, "--k", "3",
+             "--batch-size", "64", "--workers", workers, "--out", str(out)]
+        ) == 0
+        outputs.append(read_outputs(out))
+    assert set(outputs[0]) == {"corrected.csv", "diagnostics.json", "manifest.json"}
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    data = load_embeddings(inp)
+    expected = reference_corrected_csv(
+        softmax_rows(data.logits), data.features, KernelSpec(kernel, 3), 64, SolverConfig()
+    )
+    assert outputs[0]["corrected.csv"].decode() == expected
+
+
+def test_correct_small_output_with_mapping_matches_reference(tmp_path):
+    inp = make_embedding_file(tmp_path, N=40, K=3)
+    mapping = write(tmp_path / "m.tsv", "0\tA\n1\tB\n2\tB\n")
+    out = tmp_path / "out"
+    assert main_bounded(
+        ["correct", "--input", str(inp), "--mapping", str(mapping), "--batch-size", "16",
+         "--workers", "2", "--out", str(out)]
+    ) == 0
+    data = load_embeddings(inp)
+    probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=3))
+    expected = reference_corrected_csv(
+        probs, data.features, KernelSpec("knn", 5), 16, SolverConfig()
+    )
+    assert (out / "corrected.csv").read_text() == expected
+
+
+def test_correct_empty_container_writes_header_only(tmp_path):
+    inp = make_embedding_file(tmp_path, N=0, K=3)
+    out = tmp_path / "out"
+    assert main(["correct", "--input", str(inp), "--out", str(out)]) == 0
+    assert (out / "corrected.csv").read_text() == "sample,prediction,p0,p1,p2\n"
+    assert json.loads((out / "diagnostics.json").read_text()) == []
+
+
+def run_helper(stdin, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-I", "-S", csvrows.__file__],
+        stdin=stdin, capture_output=True, timeout=timeout,
+    )
+
+
+def test_csvrows_helper_formats_edge_values_like_repr(tmp_path):
+    values = np.array([[0.0, 5e-324, 1e-05], [0.0001, 0.1, 1.0]])
+    preds = np.array([2, 0], dtype=np.int64)
+    job = tmp_path / "job"
+    with open(job, "wb") as fh:
+        csvrows.write_job(fh, 7, preds, values, 3)
+    with open(job, "rb") as fh:
+        done = run_helper(fh)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == reference_csv_rows(7, preds, values)
+    assert done.stdout.decode().startswith("7,2,0.0,5e-324,1e-05\n8,0,0.0001,0.1,1.0\n")
+
+
+def test_csvrows_helper_imports_only_the_standard_library(tmp_path):
+    tree = ast.parse(Path(csvrows.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in csvrows.py"
+            imported.add(node.module.split(".")[0])
+    assert imported and imported <= set(sys.stdlib_module_names) | {"__future__"}
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    with open(empty, "rb") as fh:
+        done = run_helper(fh)
+    assert (done.returncode, done.stdout) == (0, b""), done.stderr
+
+
+def fake_interpreter(tmp_path, script: str) -> str:
+    path = tmp_path / "fake-python"
+    path.write_text("#!/bin/sh\n" + script + "\n", encoding="utf-8")
+    path.chmod(0o755)
+    return str(path)
+
+
+@pytest.mark.parametrize("interpreter", ["missing", "exits-nonzero"])
+def test_correct_helper_failure_is_io_error_without_csv(tmp_path, monkeypatch, interpreter):
+    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
+    if interpreter == "missing":
+        executable = str(tmp_path / "no-such-python")
+    else:
+        executable = fake_interpreter(tmp_path, "exit 3")
+    monkeypatch.setattr(sys, "executable", executable)
+    out = tmp_path / "out"
+    assert main_bounded(
+        ["correct", "--input", str(inp), "--workers", "4", "--out", str(out)]
+    ) == 2
+    assert not (out / "corrected.csv").exists()
 
 
 def test_simulate_writes_dataset_stream_manifest(tmp_path):
@@ -217,6 +341,9 @@ def test_toy2d_outputs(tmp_path):
     series = (out / "toy2d_accuracy_lr0.1.csv").read_text().strip().splitlines()
     assert series[0] == "x,y"
     assert len(series) == 51
+    for path in out.glob("toy2d_*.csv"):
+        for line in path.read_text().strip().splitlines()[1:]:
+            float(line.split(",")[1])
 
 
 def test_grid_matrix_sweep_report_pipeline(tmp_path):
@@ -279,6 +406,20 @@ def test_grid_rerun_byte_identical(tmp_path):
              "--workers", "2"]
         ) == 0
     assert read_outputs(out1) == read_outputs(out2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "s.cfg"],
+        ["toy2d"],
+        ["matrix", "--grid-results", "r.csv"],
+        ["report", "--results", "r.csv"],
+    ],
+)
+def test_workers_only_on_subcommands_that_use_it(tmp_path, argv):
+    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_matrix_requires_complete_table(tmp_path):
