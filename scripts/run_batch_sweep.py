@@ -2,7 +2,8 @@
 """Batch-size ablation: correction gain over the baseline per batch size.
 
 Reruns the configured scenario family at each size with the same seeds
-and writes accuracy-vs-size plot data.
+and writes accuracy-vs-size plot data. Every other argument (--sizes,
+--k, --workers, --seed, --set) goes to `lame sweep`.
 """
 
 import argparse
@@ -13,26 +14,9 @@ from lame_tta.cli import main as lame_main
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synthetic_family.cfg"
 
-
-def main() -> int:
+if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/batch_sweep")
     ap.add_argument("--config", default=str(DEFAULT_CONFIG))
-    ap.add_argument("--sizes", default="1,8,16,32,64,128")
-    ap.add_argument("--k", type=int, default=5)
-    ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
-    return lame_main(
-        [
-            "sweep",
-            "--config", args.config,
-            "--sizes", args.sizes,
-            "--k", str(args.k),
-            "--workers", str(args.workers),
-            "--out", args.out,
-        ]
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    args, rest = ap.parse_known_args()
+    sys.exit(lame_main(["sweep", "--config", args.config, "--out", args.out, *rest]))

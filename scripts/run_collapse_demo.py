@@ -2,8 +2,9 @@
 """Online entropy-minimization failure demo on the sinusoidal toy stream.
 
 Produces per-learning-rate entropy and online-accuracy curves (plot-data
-CSV) for a class-grouped stream, plus the frozen-baseline curve. Thin
-wrapper over the `lame toy2d` subcommand.
+CSV) for a class-grouped stream, plus the frozen-baseline curve. Every
+other argument (--lrs, --seeds, --batches, --batch-size) goes to
+`lame toy2d`.
 """
 
 import argparse
@@ -11,26 +12,8 @@ import sys
 
 from lame_tta.cli import main as lame_main
 
-
-def main() -> int:
+if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/collapse_demo")
-    ap.add_argument("--lrs", default="0.001,0.01,0.1")
-    ap.add_argument("--seeds", default=",".join(str(s) for s in range(10)))
-    ap.add_argument("--batches", type=int, default=100)
-    ap.add_argument("--batch-size", type=int, default=16)
-    args = ap.parse_args()
-    return lame_main(
-        [
-            "toy2d",
-            "--lrs", args.lrs,
-            "--seeds", args.seeds,
-            "--batches", str(args.batches),
-            "--batch-size", str(args.batch_size),
-            "--out", args.out,
-        ]
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    args, rest = ap.parse_known_args()
+    sys.exit(lame_main(["toy2d", "--out", args.out, *rest]))

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Cross-shift hyperparameter-transfer matrices on the synthetic family.
 
-Runs the declared grid for each requested method over scenarios A-D
-(A = i.i.d., B = non-i.i.d., C = i.i.d. + prior shift, D = non-i.i.d. +
-prior shift), then derives the tune-on-i / evaluate-on-j improvement
-matrix against the frozen baseline.
+Runs the declared grid for entropy minimization and for LAME over the
+family's scenarios (A = i.i.d., B = non-i.i.d., C = i.i.d. + prior shift,
+D = non-i.i.d. + prior shift), then derives the tune-on-i / evaluate-on-j
+improvement matrix against the frozen baseline. Every other argument
+(--workers, --seed, --set) goes to `lame grid`.
 """
 
 import argparse
@@ -20,32 +21,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/cross_shift")
     ap.add_argument("--config", default=str(DEFAULT_CONFIG))
-    ap.add_argument(
-        "--methods", default="entropy_min,lame",
-        help="comma list of method kinds to grid and matrix",
-    )
-    ap.add_argument("--workers", type=int, default=1)
-    args = ap.parse_args()
-
-    for method in [m.strip() for m in args.methods.split(",") if m.strip()]:
+    args, rest = ap.parse_known_args()
+    for method in ("entropy_min", "lame"):
         grid_dir = Path(args.out) / f"grid_{method}"
         code = lame_main(
-            [
-                "grid",
-                "--config", args.config,
-                "--method", method,
-                "--workers", str(args.workers),
-                "--out", str(grid_dir),
-            ]
-        )
-        if code != 0:
-            return code
-        code = lame_main(
-            [
-                "matrix",
-                "--grid-results", str(grid_dir / "grid_results.csv"),
-                "--out", str(Path(args.out) / f"matrix_{method}"),
-            ]
+            ["grid", "--config", args.config, "--method", method, "--out", str(grid_dir), *rest]
+        ) or lame_main(
+            ["matrix", "--grid-results", str(grid_dir / "grid_results.csv"),
+             "--out", str(Path(args.out) / f"matrix_{method}")]
         )
         if code != 0:
             return code

@@ -32,12 +32,11 @@ from .harness import (
     Scenario,
     aggregate_report,
     batch_size_sweep,
-    format_value,
+    csv_text,
     grid_search,
     matrix_from_rows,
     results_to_csv,
     rows_from_csv,
-    synthetic_family,
     timings_payload,
 )
 from .mapping import load_mapping, pool_rows
@@ -53,6 +52,10 @@ from .streams import (
     save_embeddings,
 )
 from .toy import collapse_demo
+
+
+# header of the plot-data series files
+XY = ("x", "y")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -76,12 +79,6 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
             "seed": seed,
         },
     )
-
-
-def _series_csv(xs, ys) -> str:
-    lines = ["x,y"]
-    lines += [f"{format_value(x)},{format_value(y)}" for x, y in zip(xs, ys)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +136,8 @@ def _write_corrected(path: Path, preds: np.ndarray, Z: np.ndarray, workers: int)
 
 
 def cmd_correct(args) -> None:
+    if args.batch_size < 1:
+        raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
     out = Path(args.out)
     data = load_embeddings(args.input)
     mapping = load_mapping(args.mapping, source_count=data.class_count) if args.mapping else None
@@ -171,7 +170,7 @@ def cmd_correct(args) -> None:
             "tol": args.tol,
             "max_iter": args.max_iter,
         },
-        args.seed,
+        None,
     )
 
 
@@ -189,15 +188,12 @@ def cmd_simulate(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(data, out / "dataset.lame.bin")
 
-    lines = ["batch_index,sample_index"]
-    cursor = 0
-    counts = []
-    for b, batch in enumerate(stream):
-        counts.append(len(batch))
-        for _ in range(len(batch)):
-            lines.append(f"{b},{cursor}")
-            cursor += 1
-    _write_text(out / "stream.csv", "\n".join(lines) + "\n")
+    counts = [len(batch) for batch in stream]
+    batch_index = [b for b, n in enumerate(counts) for _ in range(n)]
+    _write_text(
+        out / "stream.csv",
+        csv_text(("batch_index", "sample_index"), zip(batch_index, range(len(batch_index)))),
+    )
     _write_json(
         out / "summary.json",
         {
@@ -240,11 +236,11 @@ def cmd_toy2d(args) -> None:
     for lr in lrs:
         ent = np.mean(per_lr_entropy[lr], axis=0)
         acc = np.mean(per_lr_acc[lr], axis=0)
-        _write_text(out / f"toy2d_entropy_lr{lr:g}.csv", _series_csv(steps, ent))
-        _write_text(out / f"toy2d_accuracy_lr{lr:g}.csv", _series_csv(steps, acc))
+        _write_text(out / f"toy2d_entropy_lr{lr:g}.csv", csv_text(XY, zip(steps, ent)))
+        _write_text(out / f"toy2d_accuracy_lr{lr:g}.csv", csv_text(XY, zip(steps, acc)))
     _write_text(
         out / "toy2d_accuracy_baseline.csv",
-        _series_csv(steps, np.mean(baseline_acc, axis=0)),
+        csv_text(XY, zip(steps, np.mean(baseline_acc, axis=0))),
     )
     _write_manifest(
         out,
@@ -259,34 +255,24 @@ def cmd_toy2d(args) -> None:
     )
 
 
-def _family_scenarios(kv) -> tuple[list[Scenario], list[int]]:
-    fam = family_from_kv(kv)
-    scenarios = synthetic_family(
-        fam.source,
-        batch_size=fam.batch_size,
-        zipf_s=fam.zipf_s,
-        letters=fam.scenarios,
-        mapping=fam.mapping,
-    )
-    return scenarios, list(fam.seeds)
+def _family(args) -> tuple[dict[str, str], list[Scenario], list[int]]:
+    """The resolved family config, its scenarios and its seeds (``--seed``
+    replaces the list)."""
+    kv = read_config(args.config, args.set)
+    scenarios, seeds = family_from_kv(kv)
+    return kv, scenarios, seeds if args.seed is None else [args.seed]
 
 
 def cmd_grid(args) -> None:
     out = Path(args.out)
-    kv = read_config(args.config, args.set)
-    scenarios, seeds = _family_scenarios(kv)
-    if args.seed is not None:
-        seeds = [args.seed]
+    kv, scenarios, seeds = _family(args)
     result = grid_search(
         scenarios, args.method, grid=None, seeds=seeds, workers=args.workers
     )
     _write_text(out / "grid_results.csv", results_to_csv(result.runs))
-    header = "method," + ",".join(result.scenario_ids)
-    lines = [header]
-    for spec, row in zip(result.grid, result.acc):
-        lines.append(spec.label() + "," + ",".join(repr(float(v)) for v in row))
-    lines.append("baseline," + ",".join(repr(float(v)) for v in result.baseline_acc))
-    _write_text(out / "grid_table.csv", "\n".join(lines) + "\n")
+    table = [[spec.label(), *row] for spec, row in zip(result.grid, result.acc)]
+    table.append(["baseline", *result.baseline_acc])
+    _write_text(out / "grid_table.csv", csv_text(["method", *result.scenario_ids], table))
     _write_json(
         out / "best.json",
         {
@@ -308,10 +294,13 @@ def cmd_matrix(args) -> None:
     with open(args.grid_results, "r", encoding="utf-8") as fh:
         rows = rows_from_csv(fh.read())
     matrix = matrix_from_rows(rows)
-    lines = ["tuned_on\\eval_on," + ",".join(matrix.scenarios)]
-    for sid, row in zip(matrix.scenarios, matrix.values):
-        lines.append(sid + "," + ",".join(repr(float(v)) for v in row))
-    _write_text(out / "matrix.csv", "\n".join(lines) + "\n")
+    _write_text(
+        out / "matrix.csv",
+        csv_text(
+            ["tuned_on\\eval_on", *matrix.scenarios],
+            ([sid, *row] for sid, row in zip(matrix.scenarios, matrix.values)),
+        ),
+    )
     _write_json(
         out / "matrix_meta.json",
         {
@@ -325,24 +314,23 @@ def cmd_matrix(args) -> None:
 
 def cmd_sweep(args) -> None:
     out = Path(args.out)
-    kv = read_config(args.config, args.set)
-    scenarios, seeds = _family_scenarios(kv)
+    kv, scenarios, seeds = _family(args)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     method = MethodSpec("lame", kernel=KernelSpec("knn", args.k))
     points = batch_size_sweep(scenarios, method, sizes, seeds, workers=args.workers)
-    lines = ["batch_size,lame_accuracy,baseline_accuracy,gain"]
-    for p in points:
-        lines.append(
-            f"{p.batch_size},{repr(p.method_acc)},{repr(p.baseline_acc)},{repr(p.gain)}"
-        )
-    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     _write_text(
-        out / "sweep_lame.csv",
-        _series_csv([p.batch_size for p in points], [p.method_acc for p in points]),
+        out / "sweep.csv",
+        csv_text(
+            ("batch_size", "lame_accuracy", "baseline_accuracy", "gain"),
+            ((p.batch_size, p.method_acc, p.baseline_acc, p.gain) for p in points),
+        ),
+    )
+    _write_text(
+        out / "sweep_lame.csv", csv_text(XY, ((p.batch_size, p.method_acc) for p in points))
     )
     _write_text(
         out / "sweep_baseline.csv",
-        _series_csv([p.batch_size for p in points], [p.baseline_acc for p in points]),
+        csv_text(XY, ((p.batch_size, p.baseline_acc) for p in points)),
     )
     _write_manifest(out, "sweep", {**kv, "sizes": args.sizes, "k": args.k}, seeds)
 
@@ -351,9 +339,9 @@ def cmd_report(args) -> None:
     out = Path(args.out)
     with open(args.results, "r", encoding="utf-8") as fh:
         summary = aggregate_report(rows_from_csv(fh.read()))
-    lines = ["scenario,method,runs,mean_accuracy,std_accuracy,min_accuracy,max_accuracy"]
-    lines += [",".join(format_value(v) for v in rec.values()) for rec in summary]
-    _write_text(out / "summary.csv", "\n".join(lines) + "\n")
+    header = ("scenario", "method", "runs", "mean_accuracy", "std_accuracy",
+              "min_accuracy", "max_accuracy")
+    _write_text(out / "summary.csv", csv_text(header, (rec.values() for rec in summary)))
     _write_json(out / "summary.json", summary)
     _write_manifest(out, "report", {"results": args.results}, None)
 
@@ -373,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, config=False, workers=None):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if workers:
             p.add_argument("--workers", type=int, default=os.cpu_count() or 1, help=workers)
         if config:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
             p.add_argument("--config", required=True)
             p.add_argument(
                 "--set",
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100)
     common(p, workers="format corrected.csv in up to this many interpreters, "
                       f"{SHARE_MIN}+ values each")
-    p.set_defaults(func=cmd_correct, seed=0)
+    p.set_defaults(func=cmd_correct)
 
     p = sub.add_parser("simulate", help="materialize a scenario stream")
     common(p, config=True)

@@ -9,8 +9,7 @@ container or an inline synthetic spec such as::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .harness import Scenario, synthetic_family
 from .mapping import ClassMapping, load_mapping
 from .streams import ScenarioSpec, SyntheticConfig
 
@@ -100,53 +99,38 @@ def _load_mapping(value: str) -> ClassMapping | None:
     return load_mapping(value)
 
 
-def scenario_from_kv(kv: dict[str, str]) -> ScenarioSpec:
-    unknown = set(kv) - set(SCENARIO_KEYS)
+def _source_and_mapping(kv: dict[str, str], keys: tuple[str, ...], what: str):
+    """Reject unknown keys; parse the required source and the optional mapping."""
+    unknown = set(kv) - set(keys)
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
     if "source" not in kv:
-        raise ConfigError("scenario config needs a 'source' key")
+        raise ConfigError(f"{what} config needs a 'source' key")
+    return parse_source(kv["source"]), _load_mapping(kv.get("mapping", "none"))
+
+
+def scenario_from_kv(kv: dict[str, str]) -> ScenarioSpec:
+    source, mapping = _source_and_mapping(kv, SCENARIO_KEYS, "scenario")
     return ScenarioSpec(
-        source=parse_source(kv["source"]),
+        source=source,
         sampling=kv.get("sampling", "iid"),
         prior_shift=_parse_zipf(kv.get("zipf_s", "none")),
         batch_size=int(kv.get("batch_size", "64")),
         seed=int(kv.get("seed", "0")),
-        mapping=_load_mapping(kv.get("mapping", "none")),
+        mapping=mapping,
     )
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
-    """A set of scenario variants sharing one data source.
-
-    ``scenarios`` holds letters from the A/B/C/D convention (A = i.i.d.,
-    B = non-i.i.d., C = i.i.d. + prior shift, D = non-i.i.d. + prior
-    shift).
-    """
-
-    source: SyntheticConfig | str
-    scenarios: tuple[str, ...] = ("A", "B", "C", "D")
-    zipf_s: float = 1.0
-    batch_size: int = 32
-    seeds: tuple[int, ...] = (0,)
-    mapping: ClassMapping | None = None
-
-
-def family_from_kv(kv: dict[str, str]) -> FamilyConfig:
-    unknown = set(kv) - set(FAMILY_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    if "source" not in kv:
-        raise ConfigError("family config needs a 'source' key")
+def family_from_kv(kv: dict[str, str]) -> tuple[list[Scenario], list[int]]:
+    """The scenarios and seeds of a family config: one scenario per letter
+    of ``scenarios`` (A = i.i.d., B = non-i.i.d., C = i.i.d. + prior shift,
+    D = non-i.i.d. + prior shift), all sharing one source."""
+    source, mapping = _source_and_mapping(kv, FAMILY_KEYS, "family")
     letters = tuple(
         s.strip().upper() for s in kv.get("scenarios", "A,B,C,D").split(",") if s.strip()
     )
-    for letter in letters:
-        if letter not in ("A", "B", "C", "D"):
-            raise ConfigError(f"unknown scenario letter {letter!r} (use A, B, C, D)")
     try:
-        seeds = tuple(int(s) for s in kv.get("seeds", "0").split(",") if s.strip())
+        seeds = [int(s) for s in kv.get("seeds", "0").split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"bad seeds list {kv.get('seeds')!r}") from None
     if not seeds:
@@ -154,14 +138,14 @@ def family_from_kv(kv: dict[str, str]) -> FamilyConfig:
     zipf = _parse_zipf(kv.get("zipf_s", "1.0"))
     if zipf is None and any(letter in ("C", "D") for letter in letters):
         raise ConfigError("prior-shift scenarios need a zipf_s value")
-    return FamilyConfig(
-        source=parse_source(kv["source"]),
-        scenarios=letters,
-        zipf_s=zipf if zipf is not None else 1.0,
+    scenarios = synthetic_family(
+        source,
         batch_size=int(kv.get("batch_size", "32")),
-        seeds=seeds,
-        mapping=_load_mapping(kv.get("mapping", "none")),
+        zipf_s=zipf,
+        letters=letters,
+        mapping=mapping,
     )
+    return scenarios, seeds
 
 
 def read_config(path, overrides: list[str] | None = None) -> dict[str, str]:

@@ -130,7 +130,7 @@ SCENARIO_LETTERS = ("A", "B", "C", "D")
 def synthetic_family(
     source: SyntheticConfig | str,
     batch_size: int = 32,
-    zipf_s: float = 1.0,
+    zipf_s: float | None = 1.0,
     letters: tuple[str, ...] = SCENARIO_LETTERS,
     mapping=None,
 ) -> list[Scenario]:
@@ -541,24 +541,32 @@ def format_value(value) -> str:
     return str(value)
 
 
-def results_to_csv(results: list[RunResult]) -> str:
+def csv_text(header, rows) -> str:
+    """CSV text, each line ending in a bare newline, every cell through
+    :func:`format_value`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in results:
-        hp = r.hyperparameters
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows([format_value(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def results_to_csv(results: list[RunResult]) -> str:
+    return csv_text(
+        RESULT_COLUMNS,
+        (
             [
                 r.scenario_id,
                 r.method,
-                *(format_value(hp.get(column)) for column in HP_COLUMNS),
+                *(r.hyperparameters.get(column) for column in HP_COLUMNS),
                 r.seed,
                 r.n_samples,
                 r.n_batches,
-                repr(r.overall_accuracy),
+                r.overall_accuracy,
             ]
-        )
-    return buf.getvalue()
+            for r in results
+        ),
+    )
 
 
 def rows_from_csv(text: str) -> list[dict]:

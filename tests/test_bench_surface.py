@@ -30,7 +30,12 @@ def test_traced_layer_resolves(layer):
 
 
 def test_lame_correct_reachable_from_cli_and_harness():
-    from lame_tta import cli, harness, solver
+    from lame_tta import cli, harness, solver, toy
 
     assert cli.lame_correct is solver.lame_correct
     assert harness.lame_correct is solver.lame_correct
+    # the tracer wraps toy.<kind>_step by name and the harness looks the
+    # step up in STEP_FUNCTIONS; both must be the same object
+    for kind in ("entropy_min", "pseudo_label", "shot_im"):
+        assert toy.STEP_FUNCTIONS[kind] is getattr(toy, f"{kind}_step")
+    assert harness.STEP_FUNCTIONS is toy.STEP_FUNCTIONS

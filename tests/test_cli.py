@@ -71,7 +71,7 @@ def test_scenario_config_unknown_key_rejected():
 
 
 def test_family_config_roundtrip():
-    fam = family_from_kv(
+    scenarios, seeds = family_from_kv(
         {
             "source": SMALL_SOURCE,
             "scenarios": "A,D",
@@ -80,9 +80,22 @@ def test_family_config_roundtrip():
             "seeds": "0,1",
         }
     )
-    assert fam.scenarios == ("A", "D")
-    assert isinstance(fam.source, SyntheticConfig)
-    assert fam.source.K == 4
+    assert seeds == [0, 1]
+    assert [sc.scenario_id for sc in scenarios] == ["A", "D"]
+    a, d = (sc.spec for sc in scenarios)
+    assert isinstance(a.source, SyntheticConfig) and a.source is d.source
+    assert a.source.K == 4
+    assert (a.sampling, a.prior_shift, a.batch_size) == ("iid", None, 16)
+    assert (d.sampling, d.prior_shift, d.batch_size) == ("non_iid", 1.0, 16)
+
+
+def test_family_config_shares_scenario_key_checks():
+    with pytest.raises(ConfigError, match="unknown"):
+        family_from_kv({"source": SMALL_SOURCE, "seed": "1"})
+    with pytest.raises(ConfigError, match="'source'"):
+        family_from_kv({"scenarios": "A"})
+    with pytest.raises(ConfigError, match="zipf_s"):
+        family_from_kv({"source": SMALL_SOURCE, "scenarios": "A,C", "zipf_s": "none"})
 
 
 def test_parse_source_variants():
@@ -123,6 +136,16 @@ def test_correct_outputs_and_zero_affinity_identity(tmp_path, capsys):
     diags = json.loads((out / "diagnostics.json").read_text())
     assert len(diags) == len(data)
     assert all(d["converged"] for d in diags)
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_correct_rejects_non_positive_batch_size(tmp_path, capsys, batch_size):
+    inp = make_embedding_file(tmp_path)
+    out = tmp_path / "out"
+    assert main(["correct", "--input", str(inp), "--batch-size", batch_size,
+                 "--out", str(out)]) == 1
+    assert "--batch-size must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_correct_rerun_byte_identical(tmp_path):
@@ -411,15 +434,37 @@ def test_grid_rerun_byte_identical(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--config", "s.cfg"],
-        ["toy2d"],
-        ["matrix", "--grid-results", "r.csv"],
-        ["report", "--results", "r.csv"],
+        ["simulate", "--config", "s.cfg", "--workers", "2"],
+        ["toy2d", "--workers", "2"],
+        ["matrix", "--grid-results", "r.csv", "--workers", "2"],
+        ["report", "--results", "r.csv", "--workers", "2"],
+        ["correct", "--input", "d.bin", "--seed", "3"],
+        ["matrix", "--grid-results", "r.csv", "--seed", "3"],
+        ["report", "--results", "r.csv", "--seed", "3"],
     ],
 )
 def test_workers_only_on_subcommands_that_use_it(tmp_path, argv):
-    assert main(argv + ["--workers", "2", "--out", str(tmp_path / "o")]) == 1
+    # --workers and --seed are offered only where they are honoured (on
+    # toy2d, argparse reads --seed as an abbreviation of --seeds)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_seed_flag_replaces_the_config_seeds(tmp_path):
+    cfg = write(
+        tmp_path / "family.cfg",
+        f"source = {SMALL_SOURCE}\nscenarios = B\nbatch_size = 16\nseeds = 0\n",
+    )
+    outs = {}
+    for name, extra in (("flag", ["--seed", "7"]), ("set", ["--set", "seeds=7"]),
+                        ("config", [])):
+        outs[name] = tmp_path / name
+        assert main(["sweep", "--config", str(cfg), "--sizes", "4,16", "--workers", "1",
+                     "--out", str(outs[name]), *extra]) == 0
+    flag = read_outputs(outs["flag"], exclude=("timings.json", "manifest.json"))
+    assert flag == read_outputs(outs["set"], exclude=("timings.json", "manifest.json"))
+    assert flag["sweep.csv"] != (outs["config"] / "sweep.csv").read_bytes()
+    assert json.loads((outs["flag"] / "manifest.json").read_text())["seed"] == [7]
 
 
 def test_matrix_requires_complete_table(tmp_path):

@@ -1,0 +1,54 @@
+"""Smoke tests of the ``scripts/`` wrappers: each runs as a program with
+tiny pass-through arguments and writes under its default output directory."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SMALL_FAMILY = (
+    "source = synthetic:K=4,d=6,n_per_class=50,spread=0.3,rotation=0.4,noise=0.25\n"
+    "scenarios = A\nbatch_size = 16\nseeds = 0\n"
+)
+
+
+def run_script(tmp_path, name, *argv):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_collapse_demo_script(tmp_path):
+    proc = run_script(tmp_path, "run_collapse_demo.py", "--lrs", "0.1", "--seeds", "0",
+                      "--batches", "5")
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out" / "collapse_demo"
+    assert (out / "toy2d_accuracy_lr0.1.csv").read_text().count("\n") == 6
+    assert (out / "manifest.json").exists()
+
+
+def test_batch_sweep_script(tmp_path):
+    (tmp_path / "family.cfg").write_text(SMALL_FAMILY)
+    proc = run_script(tmp_path, "run_batch_sweep.py", "--config", "family.cfg",
+                      "--sizes", "8", "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "out" / "batch_sweep" / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "batch_size,lame_accuracy,baseline_accuracy,gain"
+    assert lines[1].startswith("8,")
+
+
+def test_cross_shift_script(tmp_path):
+    (tmp_path / "family.cfg").write_text(SMALL_FAMILY)
+    proc = run_script(tmp_path, "run_cross_shift.py", "--config", "family.cfg",
+                      "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out" / "cross_shift"
+    for method in ("entropy_min", "lame"):
+        assert (out / f"grid_{method}" / "grid_results.csv").exists()
+        assert (out / f"matrix_{method}" / "matrix.csv").read_text().startswith(
+            "tuned_on\\eval_on,A\n"
+        )
