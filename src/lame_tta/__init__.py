@@ -25,14 +25,7 @@ from .harness import (
     synthetic_family,
 )
 from .mapping import ClassMapping, parse_mapping, pool_average, pool_max
-from .numerics import (
-    entropy,
-    kl_divergence,
-    pairwise_sq_distances,
-    simplex_vector,
-    softmax,
-    softmax_rows,
-)
+from .numerics import pairwise_sq_distances, softmax_rows
 from .solver import (
     SolveDiagnostics,
     SolverConfig,
@@ -40,7 +33,6 @@ from .solver import (
     clamp_probs,
     lame_correct,
     lame_objective,
-    predictions,
 )
 from .streams import (
     Batch,

@@ -1,7 +1,7 @@
 """Affinity matrix construction over a batch's feature rows.
 
-Three kernels: a k-nearest-neighbour indicator (symmetrized), a plain or
-cosine linear kernel, and an RBF kernel whose bandwidth is the mean
+Three kernels: a k-nearest-neighbour indicator (symmetrized), a cosine
+linear kernel, and an RBF kernel whose bandwidth is the mean
 distance of each point to its k-th neighbour. All of them exclude
 self-affinity (zero diagonal) and return exactly symmetric matrices.
 """
@@ -24,12 +24,10 @@ KERNEL_KINDS = ("knn", "linear", "rbf")
 class KernelSpec:
     """Which affinity to build. ``k`` is the neighbour count for the knn
     kernel and the bandwidth-defining neighbour for the rbf kernel; the
-    linear kernel ignores it. ``normalize_features`` defaults to on for
-    the linear kernel (cosine affinity) and off otherwise."""
+    linear kernel ignores it."""
 
     kind: str = "knn"
     k: int = 5
-    normalize_features: bool | None = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -38,15 +36,11 @@ class KernelSpec:
             raise ValueError("k must be >= 1")
 
     def build(self, features: np.ndarray) -> np.ndarray:
-        normalize = self.normalize_features
-        if normalize is None:
-            normalize = self.kind == "linear"
         if self.kind == "linear":
-            return linear_affinity(features, normalize=normalize)
-        X = _l2_normalize(features) if normalize else features
+            return linear_affinity(features)
         if self.kind == "knn":
-            return knn_affinity(X, self.k)
-        return rbf_affinity(X, self.k)
+            return knn_affinity(features, self.k)
+        return rbf_affinity(features, self.k)
 
 
 def batch_affinity(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
@@ -61,9 +55,9 @@ def batch_affinity(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
     return kernel.build(features)
 
 
-def validate_affinity(W: np.ndarray, require_nonnegative: bool = True) -> None:
+def validate_affinity(W: np.ndarray) -> None:
     """Raise unless W is square, finite, symmetric within 1e-12 and
-    zero-diagonal."""
+    zero-diagonal. Negative weights (from the linear kernel) are allowed."""
     W = np.asarray(W)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("affinity matrix must be square")
@@ -78,8 +72,6 @@ def validate_affinity(W: np.ndarray, require_nonnegative: bool = True) -> None:
         raise ValueError("affinity matrix must be symmetric within 1e-12")
     if np.diagonal(W).any():
         raise ValueError("affinity matrix must have a zero diagonal")
-    if require_nonnegative and np.any(W < 0):
-        raise ValueError("affinity entries must be nonnegative")
 
 
 def _check_features(features: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -92,14 +84,6 @@ def _check_features(features: np.ndarray, k: int | None = None) -> np.ndarray:
     if k is not None and not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range for N={N} (need 1 <= k <= N-1)")
     return X
-
-
-def _l2_normalize(features: np.ndarray) -> np.ndarray:
-    X = np.asarray(features, dtype=float)
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot L2-normalize a zero feature row")
-    return X / norms
 
 
 def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
@@ -123,19 +107,17 @@ def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def linear_affinity(features: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Dot-product affinity w_ij = phi(x_i)^T phi(x_j), diagonal zeroed.
-
-    With ``normalize`` the rows are L2-normalized first, giving cosine
-    affinities in [-1, 1]; unnormalized dot products are allowed but can
-    produce large exponents downstream. The product is
+def linear_affinity(features: np.ndarray) -> np.ndarray:
+    """Cosine affinity w_ij = x_i^T x_j / (||x_i|| ||x_j||) in [-1, 1],
+    diagonal zeroed; a zero feature row is an error. The product is
     :func:`~lame_tta.numerics.canonical_gram`, so W is bitwise
     permutation-equivariant.
     """
     X = _check_features(features)
-    if normalize:
-        X = _l2_normalize(X)
-    W = canonical_gram(X)
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    if np.any(norms == 0):
+        raise ValueError("cannot L2-normalize a zero feature row")
+    W = canonical_gram(X / norms)
     W = (W + W.T) / 2.0
     np.fill_diagonal(W, 0.0)
     return W

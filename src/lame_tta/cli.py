@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -135,7 +136,13 @@ def _write_corrected(path: Path, preds: np.ndarray, Z: np.ndarray, workers: int)
             text.close()
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be positive, got {args.workers}")
+
+
 def cmd_correct(args) -> None:
+    _check_workers(args)
     if args.batch_size < 1:
         raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
     out = Path(args.out)
@@ -258,6 +265,7 @@ def cmd_toy2d(args) -> None:
 def _family(args) -> tuple[dict[str, str], list[Scenario], list[int]]:
     """The resolved family config, its scenarios and its seeds (``--seed``
     replaces the list)."""
+    _check_workers(args)
     kv = read_config(args.config, args.set)
     scenarios, seeds = family_from_kv(kv)
     return kv, scenarios, seeds if args.seed is None else [args.seed]
@@ -355,9 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lame",
         description="Batch-level output correction and its evaluation harness.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"lame {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    # a prefix of an option is an error, so a mistyped or removed flag
+    # cannot run as another one
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, config=False, workers=None):
         p.add_argument("--out", required=True, help="output directory")
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="override a config entry (repeatable)",
             )
 
-    p = sub.add_parser("correct", help="correct predictions in an embedding file")
+    p = add("correct", help="correct predictions in an embedding file")
     p.add_argument("--input", required=True)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="knn")
     p.add_argument("--k", type=int, default=5)
@@ -386,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
                       f"{SHARE_MIN}+ values each")
     p.set_defaults(func=cmd_correct)
 
-    p = sub.add_parser("simulate", help="materialize a scenario stream")
+    p = add("simulate", help="materialize a scenario stream")
     common(p, config=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("toy2d", help="entropy-minimization collapse demo")
+    p = add("toy2d", help="entropy-minimization collapse demo")
     p.add_argument("--lrs", default="0.001,0.01,0.1")
     p.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     p.add_argument("--batches", type=int, default=100)
@@ -398,23 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_toy2d)
 
-    p = sub.add_parser("grid", help="hyperparameter grid search over a scenario family")
+    p = add("grid", help="hyperparameter grid search over a scenario family")
     p.add_argument("--method", required=True, choices=METHOD_KINDS[1:])
     common(p, config=True, workers="process pool size for the grid cells")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("matrix", help="cross-shift transfer matrix from grid results")
+    p = add("matrix", help="cross-shift transfer matrix from grid results")
     p.add_argument("--grid-results", required=True)
     common(p)
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("sweep", help="batch-size sweep for lame vs baseline")
+    p = add("sweep", help="batch-size sweep for lame vs baseline")
     p.add_argument("--sizes", default="1,8,16,32,64,128")
     p.add_argument("--k", type=int, default=5)
     common(p, config=True, workers="process pool size for the sweep cells")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("report", help="aggregate a results CSV into mean/std summaries")
+    p = add("report", help="aggregate a results CSV into mean/std summaries")
     p.add_argument("--results", required=True)
     common(p)
     p.set_defaults(func=cmd_report)

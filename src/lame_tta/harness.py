@@ -58,11 +58,7 @@ class MethodSpec:
     def hyperparameters(self) -> dict:
         hp: dict = {"kind": self.kind}
         if self.kind == "lame":
-            hp.update(
-                kernel=self.kernel.kind,
-                k=self.kernel.k,
-                normalize_features=self.kernel.normalize_features,
-            )
+            hp.update(kernel=self.kernel.kind, k=self.kernel.k)
         elif self.adapt is not None:
             hp.update(
                 lr=self.adapt.lr,
@@ -477,16 +473,12 @@ def batch_size_sweep(
     return points
 
 
-def aggregate_report(results: list[RunResult] | list[dict]) -> list[dict]:
-    """Per (scenario, method): mean, sample std, min, max of accuracy, over
-    RunResults or over the rows of a results CSV (:func:`rows_from_csv`)."""
+def aggregate_report(rows: list[dict]) -> list[dict]:
+    """Per (scenario, method): mean, sample std, min, max of accuracy over
+    the rows of a results CSV (:func:`rows_from_csv`)."""
     groups: dict[tuple[str, str], list[float]] = {}
-    for r in results:
-        if isinstance(r, RunResult):
-            key, accuracy = (r.scenario_id, r.method), r.overall_accuracy
-        else:
-            key, accuracy = (r["scenario"], r["method"]), float(r["accuracy"])
-        groups.setdefault(key, []).append(accuracy)
+    for r in rows:
+        groups.setdefault((r["scenario"], r["method"]), []).append(float(r["accuracy"]))
     rows = []
     for (scenario, method) in sorted(groups):
         vals = np.array(groups[(scenario, method)])
@@ -514,7 +506,6 @@ HP_COLUMNS = (
     "kind",
     "kernel",
     "k",
-    "normalize_features",
     "lr",
     "momentum",
     "stat_momentum",

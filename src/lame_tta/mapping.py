@@ -74,10 +74,6 @@ class ClassMapping:
         return a[np.asarray(labels)]
 
 
-def identity_mapping(count: int) -> ClassMapping:
-    return ClassMapping(count, count, tuple(range(count)))
-
-
 def pool_average(q_source, m: ClassMapping) -> np.ndarray:
     """Mean of the source probabilities inside each target group, then
     renormalized. Mass on unmapped classes is dropped."""

@@ -1,22 +1,20 @@
-"""Shared numeric primitives: simplex vectors, stable softmax, divergences.
+"""Shared numeric primitives: the canonical row layout, a row-wise stable
+softmax and pairwise squared distances.
 
 Everything here runs at 64-bit precision. Reduction policy: batch-wide
 work runs once in the canonical row layout of :func:`canonical_row_order`
 with plain numpy/BLAS sums and products (:func:`canonical_gram`) and is
 permuted back, so the determinism contract is paid once per batch. Scalar
-sums over one vector use ``math.fsum``. Value-sorted row sums
-(:func:`sorted_rowsums`) remain only where a class permutation must
-commute with a row reduction before any canonical layout exists:
+sums over one vector (the rbf bandwidth) use ``math.fsum``. Value-sorted
+row sums (:func:`sorted_rowsums`) remain only where a class permutation
+must commute with a row reduction before any canonical layout exists:
 :func:`softmax_rows`, ``solver.clamp_probs`` and ``mapping.pool_rows``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-SIMPLEX_ATOL = 1e-9
 PROB_FLOOR = 1e-12
 
 
@@ -53,50 +51,6 @@ def canonical_gram(X: np.ndarray) -> np.ndarray:
     return (Xs @ Xs.T)[inv[:, None], inv]
 
 
-def simplex_vector(entries) -> np.ndarray:
-    """Validate and construct a probability vector.
-
-    Entries must be finite, nonnegative, and sum to 1 within
-    ``SIMPLEX_ATOL``. The result is renormalized by its exact sum; this is
-    the only place renormalization happens (never silently downstream).
-    """
-    v = np.asarray(entries, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("simplex vector must be a non-empty 1-D array")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("simplex vector entries must be finite")
-    if np.any(v < 0):
-        raise ValueError("simplex vector entries must be nonnegative")
-    total = math.fsum(v)
-    if abs(total - 1.0) > SIMPLEX_ATOL:
-        raise ValueError(f"entries sum to {total!r}, expected 1 within {SIMPLEX_ATOL}")
-    if total != 1.0:
-        v = v / total
-    return v
-
-
-def is_simplex(v: np.ndarray, atol: float = SIMPLEX_ATOL) -> bool:
-    v = np.asarray(v, dtype=float)
-    return (
-        v.ndim == 1
-        and bool(np.all(np.isfinite(v)))
-        and bool(np.all(v >= -atol))
-        and bool(np.all(v <= 1.0 + atol))
-        and abs(math.fsum(v) - 1.0) <= atol
-    )
-
-
-def softmax(logits) -> np.ndarray:
-    """Stable softmax of a single score vector (max-subtraction)."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1 or z.size < 1:
-        raise ValueError("softmax expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax input must be finite")
-    u = np.exp(z - z.max())
-    return u / math.fsum(u)
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of an (N, K) score matrix."""
     z = np.asarray(logits, dtype=float)
@@ -106,29 +60,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
         raise ValueError("softmax_rows input must be finite")
     u = np.exp(z - z.max(axis=1, keepdims=True))
     return u / sorted_rowsums(u)[:, None]
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) with the 0*log(0) := 0 convention.
-
-    Returns ``inf`` when q has zero mass somewhere p has positive mass;
-    callers that cannot tolerate that must clamp q beforehand.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return math.inf
-    return math.fsum(p[mask] * np.log(p[mask] / q[mask]))
-
-
-def entropy(p) -> float:
-    """Shannon entropy (nats) with 0*log(0) := 0."""
-    p = np.asarray(p, dtype=float)
-    mask = p > 0
-    return -math.fsum(p[mask] * np.log(p[mask]))
 
 
 def pairwise_sq_distances(features: np.ndarray) -> np.ndarray:

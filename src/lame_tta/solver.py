@@ -204,7 +204,7 @@ def lame_correct(
     if len(Qc) == 0:
         raise ValueError("cannot correct an empty batch (N=0)")
     W = np.asarray(W, dtype=float)
-    validate_affinity(W, require_nonnegative=False)
+    validate_affinity(W)
     _check_pair(Qc, Qc, W)
     classes = canonical_row_order(np.sort(Qc, axis=0).T)
     Qc = Qc[:, classes]
@@ -245,8 +245,3 @@ def lame_correct(
         final_delta=delta,
     )
     return Z[inverse_permutation(samples)[:, None], inverse_permutation(classes)], diag
-
-
-def predictions(Z: np.ndarray) -> np.ndarray:
-    """Per-row argmax class indices (first index wins ties)."""
-    return np.argmax(np.asarray(Z), axis=1)

@@ -68,7 +68,6 @@ class Batch:
     features: np.ndarray          # (n, d)
     probs: np.ndarray             # (n, K) rows on the simplex
     labels: np.ndarray | None = None
-    task_id: int | None = None
 
     def __post_init__(self):
         if self.features.shape[0] != self.probs.shape[0]:
@@ -304,6 +303,7 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
     seed_priors, seed_subsample, seed_order = ss.spawn(3)
 
     idx = np.arange(len(data))
+    labels_for_grouping = data.labels
     if spec.mapping is not None:
         m = spec.mapping
         if m.source_count != data.class_count:
@@ -312,18 +312,14 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
                 f"dataset has {data.class_count}"
             )
         if data.labels is not None:
-            mapped = m.map_labels(data.labels)
-            dropped = int((mapped < 0).sum())
+            labels_for_grouping = m.map_labels(data.labels)
+            dropped = int((labels_for_grouping < 0).sum())
             if dropped:
                 warnings.warn(
                     f"dropping {dropped} samples whose source class is unmapped",
                     stacklevel=2,
                 )
-            idx = idx[mapped[idx] >= 0]
-
-    labels_for_grouping = data.labels
-    if spec.mapping is not None and data.labels is not None:
-        labels_for_grouping = spec.mapping.map_labels(data.labels)
+            idx = idx[labels_for_grouping[idx] >= 0]
 
     if spec.prior_shift is not None:
         if labels_for_grouping is None:
@@ -345,18 +341,11 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
     batches = []
     for start in range(0, len(order), spec.batch_size):
         sl = slice(start, start + spec.batch_size)
-        rows = order[sl]
-        task_id = None
-        if data.task_ids is not None:
-            tids = np.unique(data.task_ids[rows])
-            if len(tids) == 1:
-                task_id = int(tids[0])
         batches.append(
             Batch(
-                features=data.features[rows],
+                features=data.features[order[sl]],
                 probs=probs[sl],
                 labels=out_labels[sl] if out_labels is not None else None,
-                task_id=task_id,
             )
         )
     return batches

@@ -60,7 +60,6 @@ class RunningStats:
 
     mean: np.ndarray
     var: np.ndarray
-    initialized: bool = True
 
     def __post_init__(self):
         if np.any(np.asarray(self.var) < 0):
@@ -106,14 +105,12 @@ class Velocity:
 
 def blend_stats(stats: RunningStats, X: np.ndarray, stat_momentum: float) -> RunningStats:
     """New running stats after seeing a batch: (1-m)*old + m*batch."""
-    if not stats.initialized:
-        return RunningStats(X.mean(axis=0), X.var(axis=0), True)
     if stat_momentum == 0.0:
         return stats
     bm = X.mean(axis=0)
     bv = X.var(axis=0)
     m = stat_momentum
-    return RunningStats((1 - m) * stats.mean + m * bm, (1 - m) * stats.var + m * bv, True)
+    return RunningStats((1 - m) * stats.mean + m * bm, (1 - m) * stats.var + m * bv)
 
 
 def _head(model: ToyModel, X: np.ndarray, stats: RunningStats):
@@ -262,20 +259,11 @@ pseudo_label_step = STEP_FUNCTIONS["pseudo_label"]
 shot_im_step = STEP_FUNCTIONS["shot_im"]
 
 
-# Demo defaults that expose the online failure mode most clearly: plain
-# heavy-ball on the affine pre-transform, source statistics throughout
-# (so lr=0 reproduces the frozen model exactly).
-COLLAPSE_DEMO_CONFIG = dict(momentum=0.9, stat_momentum=0.0, partition="pre_transform_only")
-
-
 def collapse_demo(
     lr_values: Sequence[float],
     stream: "Sequence[Batch]",
     model: ToyModel,
     stats: RunningStats,
-    steps: int | None = None,
-    momentum: float = COLLAPSE_DEMO_CONFIG["momentum"],
-    partition: str = COLLAPSE_DEMO_CONFIG["partition"],
 ) -> dict[float, tuple[np.ndarray, np.ndarray]]:
     """Online entropy minimization per learning rate over a batch stream.
 
@@ -284,15 +272,14 @@ def collapse_demo(
     cumulative online accuracy. Returns {lr: (entropy_series, accuracy_series)}.
     """
     batches = list(stream)
-    if steps is not None:
-        if steps > len(batches):
-            raise ValueError(f"stream has {len(batches)} batches, fewer than steps={steps}")
-        batches = batches[:steps]
     if not batches:
         raise ValueError("empty stream")
     out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for lr in lr_values:
-        cfg = AdaptConfig(lr=float(lr), momentum=momentum, partition=partition)
+        # plain heavy-ball on the affine pre-transform with the source
+        # statistics throughout exposes the failure mode most clearly, and
+        # lr=0 reproduces the frozen model exactly
+        cfg = AdaptConfig(lr=float(lr), momentum=0.9)
         current = model
         velocity = None
         correct = 0

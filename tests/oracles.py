@@ -6,7 +6,22 @@ exhaustive grid scans, and the reference LAME loop borrows only the
 package's canonical layout, not its iteration.
 """
 
+import math
+
 import numpy as np
+
+
+def is_simplex(v, atol=1e-9):
+    """Whether v is a finite 1-D probability vector: entries in [0, 1] and
+    an exact (``math.fsum``) total of 1, each within ``atol``."""
+    v = np.asarray(v, dtype=float)
+    return (
+        v.ndim == 1
+        and bool(np.all(np.isfinite(v)))
+        and bool(np.all(v >= -atol))
+        and bool(np.all(v <= 1.0 + atol))
+        and abs(math.fsum(v) - 1.0) <= atol
+    )
 
 
 def reference_objective(Z, Q, W):

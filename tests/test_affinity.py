@@ -79,27 +79,28 @@ def test_knn_permutation_equivariant_on_tied_lattice_distances():
 
 def test_linear_identical_unit_vectors():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert linear_affinity(X, normalize=True)[0, 1] == pytest.approx(1.0, abs=1e-15)
+    assert linear_affinity(X)[0, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_linear_orthogonal():
     X = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert linear_affinity(X, normalize=False)[0, 1] == 0.0
+    assert linear_affinity(X)[0, 1] == 0.0
 
 
 def test_linear_matches_bruteforce():
     X = random_features(2, N=3, d=4)
-    W = linear_affinity(X, normalize=False)
+    W = linear_affinity(X)
     for i in range(3):
         for j in range(3):
-            expected = 0.0 if i == j else float(np.dot(X[i], X[j]))
+            cosine = np.dot(X[i], X[j]) / (np.linalg.norm(X[i]) * np.linalg.norm(X[j]))
+            expected = 0.0 if i == j else float(cosine)
             assert W[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_linear_zero_row_with_normalize_errors():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        linear_affinity(X, normalize=True)
+        linear_affinity(X)
 
 
 def test_rbf_hand_example():
@@ -133,9 +134,11 @@ def test_all_kernels_symmetric_zero_diag(seed):
     for W, nonneg in (
         (knn_affinity(X, k), True),
         (rbf_affinity(X, k), True),
-        (linear_affinity(X, normalize=True), False),
+        (linear_affinity(X), False),
     ):
-        validate_affinity(W, require_nonnegative=nonneg)
+        validate_affinity(W)
+        if nonneg:
+            assert W.min() >= 0
         assert np.max(np.abs(W - W.T)) <= 1e-12
         assert np.all(np.diagonal(W) == 0.0)
 
@@ -153,10 +156,10 @@ def test_rbf_entries_in_unit_interval(seed):
 @settings(max_examples=25, deadline=None)
 def test_cosine_entries_bounded(seed):
     X = random_features(seed)
-    W = linear_affinity(X, normalize=True)
+    W = linear_affinity(X)
     assert np.all(W >= -1.0 - 1e-12) and np.all(W <= 1.0 + 1e-12)
     # nonnegative features give nonnegative cosine affinities
-    W2 = linear_affinity(np.abs(X) + 1e-3, normalize=True)
+    W2 = linear_affinity(np.abs(X) + 1e-3)
     assert np.all(W2 >= 0.0)
 
 
@@ -172,7 +175,7 @@ def test_rbf_rotation_invariance():
 def test_cosine_gram_is_psd():
     for seed in range(5):
         X = random_features(seed, N=min(64, 8 + seed * 8), d=6)
-        W = linear_affinity(X, normalize=True)
+        W = linear_affinity(X)
         eigs = np.linalg.eigvalsh(W + np.eye(len(W)))
         assert eigs.min() >= -1e-10
 
@@ -181,7 +184,7 @@ def test_kernel_spec_dispatch():
     X = random_features(4, N=10, d=3)
     assert np.array_equal(KernelSpec("knn", 2).build(X), knn_affinity(X, 2))
     assert np.array_equal(KernelSpec("rbf", 2).build(X), rbf_affinity(X, 2))
-    assert np.array_equal(KernelSpec("linear").build(X), linear_affinity(X, True))
+    assert np.array_equal(KernelSpec("linear").build(X), linear_affinity(X))
     with pytest.raises(ValueError):
         KernelSpec("cubic")
 

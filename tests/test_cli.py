@@ -441,13 +441,35 @@ def test_grid_rerun_byte_identical(tmp_path):
         ["correct", "--input", "d.bin", "--seed", "3"],
         ["matrix", "--grid-results", "r.csv", "--seed", "3"],
         ["report", "--results", "r.csv", "--seed", "3"],
+        ["toy2d", "--seed", "3", "--batches", "1", "--batch-size", "4"],
+        ["correct", "--inp", "d.bin", "--batch", "8"],
+        ["grid", "--conf", "s.cfg", "--method", "lame"],
     ],
 )
 def test_workers_only_on_subcommands_that_use_it(tmp_path, argv):
-    # --workers and --seed are offered only where they are honoured (on
-    # toy2d, argparse reads --seed as an abbreviation of --seeds)
+    # --workers and --seed are offered only where they are honoured, and a
+    # prefix of an option (toy2d's --seeds, correct's --input) is an error,
+    # so a removed or mistyped flag cannot run as another one
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("subcommand", ["correct", "grid", "sweep"])
+def test_non_positive_workers_rejected(tmp_path, capsys, subcommand, workers):
+    cfg = write(
+        tmp_path / "family.cfg",
+        f"source = {SMALL_SOURCE}\nscenarios = A\nbatch_size = 16\nseeds = 0\n",
+    )
+    argv = {
+        "correct": ["--input", str(make_embedding_file(tmp_path))],
+        "grid": ["--config", str(cfg), "--method", "lame"],
+        "sweep": ["--config", str(cfg), "--sizes", "8"],
+    }[subcommand]
+    out = tmp_path / "out"
+    assert main([subcommand, *argv, "--workers", workers, "--out", str(out)]) == 1
+    assert "--workers must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_seed_flag_replaces_the_config_seeds(tmp_path):
@@ -465,6 +487,43 @@ def test_sweep_seed_flag_replaces_the_config_seeds(tmp_path):
     assert flag == read_outputs(outs["set"], exclude=("timings.json", "manifest.json"))
     assert flag["sweep.csv"] != (outs["config"] / "sweep.csv").read_bytes()
     assert json.loads((outs["flag"] / "manifest.json").read_text())["seed"] == [7]
+
+
+RESULTS_HEADER = (
+    "scenario,method,kind,kernel,k,lr,momentum,stat_momentum,partition,"
+    "seed,n_samples,n_batches,accuracy"
+)
+
+
+def test_results_header_and_reading_the_old_normalize_features_column(tmp_path):
+    cfg = write(
+        tmp_path / "family.cfg",
+        f"source = {SMALL_SOURCE}\nscenarios = A,D\nbatch_size = 16\nseeds = 0\n",
+    )
+    grid_out = tmp_path / "grid"
+    assert main(["grid", "--config", str(cfg), "--method", "lame", "--out", str(grid_out),
+                 "--workers", "1"]) == 0
+    new = grid_out / "grid_results.csv"
+    lines = new.read_text().splitlines()
+    assert lines[0] == RESULTS_HEADER
+    assert "lame[kernel=knn;k=5]" in {line.split(",")[1] for line in lines[1:]}
+    # results written before the column was dropped carry an (always
+    # empty) normalize_features cell after k; matrix and report skip it
+    k = lines[0].split(",").index("k")
+    old_lines = []
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        cells.insert(k + 1, "" if i else "normalize_features")
+        old_lines.append(",".join(cells))
+    old = write(tmp_path / "old_results.csv", "\n".join(old_lines) + "\n")
+    for subcommand, flag in (("matrix", "--grid-results"), ("report", "--results")):
+        outs = []
+        for name, results in (("new", new), ("old", old)):
+            outs.append(tmp_path / f"{subcommand}_{name}")
+            assert main([subcommand, flag, str(results), "--out", str(outs[-1])]) == 0
+        assert read_outputs(outs[0], exclude=("manifest.json",)) == read_outputs(
+            outs[1], exclude=("manifest.json",)
+        )
 
 
 def test_matrix_requires_complete_table(tmp_path):

@@ -220,7 +220,7 @@ def test_batch_size_sweep_baseline_flat_and_unit_batch_equal():
 
 def test_aggregate_report_examples():
     def fake(scenario_id, acc, seed):
-        return run_result_stub(scenario_id, "m", acc, seed)
+        return {"scenario": scenario_id, "method": "m", "seed": str(seed), "accuracy": repr(acc)}
 
     rows = aggregate_report([fake("s", 0.4, 0), fake("s", 0.6, 1)])
     assert rows[0]["mean_accuracy"] == pytest.approx(0.5)
@@ -230,22 +230,6 @@ def test_aggregate_report_examples():
     # order invariance
     rows2 = aggregate_report([fake("s", 0.6, 1), fake("s", 0.4, 0)])
     assert rows == rows2
-
-
-def run_result_stub(scenario_id, method, acc, seed):
-    from lame_tta.harness import RunResult
-
-    return RunResult(
-        scenario_id=scenario_id,
-        method=method,
-        hyperparameters={"kind": method},
-        seed=seed,
-        batch_accuracies=[acc],
-        batch_predictions=[np.array([0])],
-        n_samples=1,
-        overall_accuracy=acc,
-        timings={},
-    )
 
 
 def test_results_csv_round_trip():
@@ -264,7 +248,7 @@ def test_matrix_from_rows_requires_baseline():
     rows = [
         {
             "scenario": "A",
-            "method": "lame[kernel=knn,k=5,normalize_features=None]",
+            "method": "lame[kernel=knn;k=5]",
             "kind": "lame",
             "accuracy": "0.5",
         }

@@ -5,41 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lame_tta.numerics import (
-    canonical_row_order,
-    entropy,
-    is_simplex,
-    kl_divergence,
-    pairwise_sq_distances,
-    simplex_vector,
-    softmax,
-    softmax_rows,
-)
+from lame_tta.numerics import canonical_row_order, pairwise_sq_distances, softmax_rows
+from lame_tta.solver import lame_objective
+from oracles import is_simplex
 
-# high-precision reference values (mpmath, 40 digits)
+# high-precision reference value (mpmath, 40 digits)
 KL_09_01_VS_06_04 = 0.2262891611853588819
-ENTROPY_07_03 = 0.61086430205489346303
+
+
+def softmax1(logits):
+    """softmax_rows of one score vector."""
+    return softmax_rows(np.array([logits], dtype=float))[0]
 
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=0)
-    assert np.allclose(softmax([1000.0, 1000.0, 1000.0]), [1 / 3] * 3, rtol=1e-15)
+    assert np.allclose(softmax1([0.0, 0.0]), [0.5, 0.5], atol=0)
+    assert np.allclose(softmax1([1000.0, 1000.0, 1000.0]), [1 / 3] * 3, rtol=1e-15)
 
 
 def test_softmax_log2_case():
-    out = softmax([math.log(2.0), 0.0])
+    out = softmax1([math.log(2.0), 0.0])
     assert np.allclose(out, [2 / 3, 1 / 3], rtol=1e-15)
 
 
 def test_softmax_rejects_nonfinite():
     with pytest.raises(ValueError):
-        softmax([np.inf, 0.0])
+        softmax1([np.inf, 0.0])
     with pytest.raises(ValueError):
-        softmax([np.nan, 0.0])
+        softmax1([np.nan, 0.0])
 
 
 def test_softmax_huge_magnitudes_valid():
-    out = softmax([1e6, -1e6, 0.0])
+    out = softmax1([1e6, -1e6, 0.0])
     assert is_simplex(out)
 
 
@@ -47,7 +44,7 @@ def test_softmax_huge_magnitudes_valid():
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=16),
 )
 def test_softmax_always_simplex(logits):
-    assert is_simplex(softmax(logits))
+    assert is_simplex(softmax1(logits))
 
 
 def test_softmax_rows_matches_single():
@@ -55,7 +52,8 @@ def test_softmax_rows_matches_single():
     L = rng.standard_normal((5, 4))
     rows = softmax_rows(L)
     for i in range(5):
-        assert np.allclose(rows[i], softmax(L[i]), rtol=1e-15)
+        u = np.exp(L[i] - L[i].max())
+        assert np.allclose(rows[i], u / math.fsum(u), rtol=1e-15)
 
 
 def test_softmax_rows_commutes_with_class_permutation_bitwise():
@@ -68,19 +66,24 @@ def test_softmax_rows_commutes_with_class_permutation_bitwise():
         assert softmax_rows(logits[:, perm]).tobytes() == softmax_rows(logits)[:, perm].tobytes()
 
 
+# The KL tests below read KL(p || q) off the LAME objective with the
+# affinity zeroed, which leaves only its KL term.
+
+
+def kl(p, q):
+    p = np.array([p], dtype=float)
+    return lame_objective(p, np.array([q], dtype=float), np.zeros((1, 1)))
+
+
 def test_kl_identity_and_closed_forms():
-    assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), rel=1e-15)
-    assert kl_divergence([0.9, 0.1], [0.6, 0.4]) == pytest.approx(KL_09_01_VS_06_04, rel=1e-14)
-
-
-def test_kl_zero_q_mass_is_inf():
-    assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
+    assert kl([0.5, 0.5], [0.5, 0.5]) == 0.0
+    assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), rel=1e-15)
+    assert kl([0.9, 0.1], [0.6, 0.4]) == pytest.approx(KL_09_01_VS_06_04, rel=1e-14)
 
 
 def test_kl_length_mismatch():
     with pytest.raises(ValueError):
-        kl_divergence([1.0], [0.5, 0.5])
+        kl([1.0], [0.5, 0.5])
 
 
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
@@ -89,7 +92,7 @@ def test_kl_self_is_exactly_zero(K, seed):
     p = np.random.default_rng(seed).dirichlet(np.ones(K))
     p = np.clip(p, 1e-9, None)
     p = p / p.sum()
-    assert kl_divergence(p, p) == 0.0
+    assert kl(p, p) == 0.0
 
 
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
@@ -99,22 +102,7 @@ def test_kl_nonnegative(K, seed):
     p = rng.dirichlet(np.ones(K))
     q = np.clip(rng.dirichlet(np.ones(K)), 1e-12, None)
     q = q / q.sum()
-    assert kl_divergence(p, q) >= 0.0
-
-
-def test_entropy_closed_forms():
-    assert entropy([1.0, 0.0, 0.0]) == 0.0
-    assert entropy([0.25] * 4) == pytest.approx(math.log(4), rel=1e-15)
-    assert entropy([0.7, 0.3]) == pytest.approx(ENTROPY_07_03, rel=1e-14)
-
-
-def test_entropy_bounded_by_log_k():
-    # 1000 random vectors per K
-    rng = np.random.default_rng(7)
-    for K in range(2, 17):
-        P = rng.dirichlet(np.ones(K), size=1000)
-        for p in P:
-            assert entropy(p) <= math.log(K) + 1e-12
+    assert kl(p, q) >= 0.0
 
 
 def test_canonical_row_order_depends_only_on_row_contents():
@@ -159,20 +147,3 @@ def test_pairwise_triangle_inequality(N, d, seed):
         for j in range(N):
             # d(i, j) <= d(i, k) + d(k, j) for every intermediate k
             assert np.all(Dist[i, j] <= Dist[i] + Dist[:, j] + 1e-9)
-
-
-def test_simplex_vector_construction():
-    v = simplex_vector([0.25, 0.75])
-    assert np.array_equal(v, [0.25, 0.75])
-    with pytest.raises(ValueError):
-        simplex_vector([0.5, 0.6])
-    with pytest.raises(ValueError):
-        simplex_vector([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        simplex_vector([np.nan, 1.0])
-
-
-def test_simplex_vector_renormalizes_tiny_drift():
-    v = np.array([0.3, 0.7]) * (1 + 2e-10)
-    out = simplex_vector(v)
-    assert abs(math.fsum(out) - 1.0) <= 1e-15

@@ -16,7 +16,6 @@ from lame_tta.solver import (
     clamp_probs,
     lame_correct,
     lame_objective,
-    predictions,
 )
 
 from oracles import (
@@ -313,11 +312,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-
-
-def test_predictions_argmax_first_tie():
-    Z = np.array([[0.4, 0.4, 0.2], [0.1, 0.8, 0.1]])
-    assert predictions(Z).tolist() == [0, 1]
 
 
 def assert_matches_reference_loop(Q, W, cfg=SolverConfig()):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lame_tta.mapping import ClassMapping
-from lame_tta.numerics import is_simplex
 from lame_tta.streams import (
     Dataset,
     EmbeddingFormatError,
@@ -19,6 +18,7 @@ from lame_tta.streams import (
     zipf_priors,
 )
 from lame_tta.toy import toy_predict
+from oracles import is_simplex
 
 
 def small_cfg(**kw):

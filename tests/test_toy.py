@@ -215,7 +215,7 @@ def test_collapse_demo_zero_lr_is_frozen_baseline():
 
 def test_collapse_demo_shapes_and_finiteness():
     stream, model, stats = toy2d_stream(1)
-    series = collapse_demo([0.001, 0.1], stream, model, stats, steps=50)
+    series = collapse_demo([0.001, 0.1], stream[:50], model, stats)
     assert set(series) == {0.001, 0.1}
     for ent, acc in series.values():
         assert len(ent) == 50 and len(acc) == 50
@@ -234,6 +234,6 @@ def test_collapse_demo_high_lr_reduces_entropy():
 
 
 def test_collapse_demo_requires_enough_batches():
-    stream, model, stats = toy2d_stream(2, n=64, batch_size=16)
-    with pytest.raises(ValueError):
-        collapse_demo([0.1], stream, model, stats, steps=100)
+    _, model, stats = toy2d_stream(2, n=64, batch_size=16)
+    with pytest.raises(ValueError, match="empty stream"):
+        collapse_demo([0.1], [], model, stats)
