@@ -127,17 +127,20 @@ def rbf_affinity(features: np.ndarray, k: int) -> np.ndarray:
     """Gaussian affinity with bandwidth set from k-th neighbour distances.
 
     sigma is the mean over points of the Euclidean distance to the k-th
-    nearest neighbour; w_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)).
+    nearest neighbour; w_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)) off the
+    diagonal and 0 on it. The distance matrix, its diagonal set to inf,
+    gives the k-th distances (``np.partition`` works on a copy) and is then
+    turned into W in place; coincident points everywhere (sigma = 0) are
+    an error.
     """
     X = _check_features(features, k)
     N = X.shape[0]
     D = pairwise_sq_distances(X)
-    offdiag = D.copy()
-    np.fill_diagonal(offdiag, np.inf)
-    kth_sq = np.partition(offdiag, k - 1, axis=1)[:, k - 1]
+    np.fill_diagonal(D, np.inf)
+    kth_sq = np.partition(D, k - 1, axis=1)[:, k - 1]
     sigma = math.fsum(np.sqrt(kth_sq)) / N
     if sigma == 0.0:
         raise ValueError("all points coincide; rbf bandwidth is zero")
-    W = np.exp(-D / (2.0 * sigma * sigma))
-    np.fill_diagonal(W, 0.0)
+    W = np.exp(np.divide(D, -(2.0 * sigma * sigma), out=D), out=D)
+    np.fill_diagonal(W, 0.0)  # exp(-inf) already is, unless 2 sigma^2 overflows
     return W

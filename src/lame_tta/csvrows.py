@@ -3,7 +3,8 @@
 A row is the sample index, the predicted class and the K corrected
 probabilities, each float by its shortest ``repr``. ``repr`` costs about
 1.2-1.7 µs per float, so ``lame correct`` hands contiguous shares of a
-large output to helper interpreters running this file as a script::
+large output to helper interpreters running this file as a script, each
+started as soon as its rows are solved, while earlier rows still are::
 
     python -I -S csvrows.py < job > rows
 

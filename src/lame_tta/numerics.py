@@ -48,7 +48,7 @@ def canonical_gram(X: np.ndarray) -> np.ndarray:
     order = canonical_row_order(X)
     inv = inverse_permutation(order)
     Xs = X[order]
-    return (Xs @ Xs.T)[inv[:, None], inv]
+    return (Xs @ Xs.T).take(inv, 0).take(inv, 1)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -73,10 +73,14 @@ def pairwise_sq_distances(features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("features must be a non-empty (N, d) matrix")
-    G = canonical_gram(X)
-    sq = np.diag(G)
-    D = sq[:, None] + sq[None, :] - 2.0 * G
-    D = (D + D.T) / 2.0
+    # D = (E + E.T) / 2 with E_ij = (sq_i + sq_j) - 2 G_ij, evaluated in
+    # that order in two N x N buffers; G's buffer is reused, so sq is a copy
+    D = canonical_gram(X)
+    sq = np.diagonal(D).copy()
+    S = np.add(sq[:, None], sq[None, :])
+    np.subtract(S, np.multiply(D, 2.0, out=D), out=S)
+    np.add(S, S.T, out=D)
+    np.divide(D, 2.0, out=D)
     np.clip(D, 0.0, None, out=D)
     np.fill_diagonal(D, 0.0)
     return D

@@ -210,7 +210,7 @@ def lame_correct(
     Qc = Qc[:, classes]
     samples = _sample_order(Qc, W)
     Z = Qc[samples]
-    W = W[samples[:, None], samples]
+    W = W.take(samples, 0).take(samples, 1)
     logQ = np.log(Z)
 
     # Z and the next iterate swap buffers; T is scratch for the delta and

@@ -43,12 +43,20 @@ def reference_objective(Z, Q, W):
     return kl - lap
 
 
+GRID_WINDOW = 64
+
+
 def grid_oracle_two_by_two(q1, q2, w, resolution=10001):
     """Brute-force minimizer of the two-sample, two-class objective over a
     uniform grid on (z11, z21) in [0, 1]^2.
 
-    Returns (min objective, argmin z11, argmin z21). Memory is kept flat by
-    scanning the grid in chunks of rows.
+    Returns (min objective, argmin z11, argmin z21). For each z11 = a on
+    the grid the objective is convex in z21 = b, so the row minimum lies
+    next to where the grid slope of the b-terms crosses 2 w a. Each row is
+    scanned only ``GRID_WINDOW`` points either side of that crossing, with
+    the full scan's float expression, so values, minimum and ties come out
+    the same. If any row minimum falls on a window edge, the full grid is
+    scanned instead.
     """
     a = np.linspace(0.0, 1.0, resolution)
 
@@ -65,6 +73,29 @@ def grid_oracle_two_by_two(q1, q2, w, resolution=10001):
     # pair term gives  [g1(a) + w a] + [g2(b) + w b] - w - 2 w a b
     u = g1 + w * a
     v = g2 + w * a  # the same grid serves both coordinates
+    width = 2 * GRID_WINDOW + 1
+    crossing = np.searchsorted(np.diff(v), 2.0 * w * a * (a[1] - a[0]))
+    start = np.clip(crossing - GRID_WINDOW, 0, resolution - width)
+    cols = start[:, None] + np.arange(width)
+    f = a[:, None] * a[cols]
+    f *= -2.0 * w
+    f += u[:, None]
+    f += v[cols]
+    j = np.argmin(f, axis=1)
+    edge = ((j == 0) & (start > 0)) | ((j == width - 1) & (start < resolution - width))
+    if edge.any():
+        best_val, best_i, best_j = grid_scan_full(a, u, v, w)
+    else:
+        row_min = f[np.arange(resolution), j]
+        best_i = int(np.argmin(row_min))
+        best_val, best_j = float(row_min[best_i]), int(start[best_i] + j[best_i])
+    return best_val - w, float(a[best_i]), float(a[best_j])
+
+
+def grid_scan_full(a, u, v, w):
+    """(min, i, j) of u_i + v_j - 2 w a_i a_j over the whole grid, scanned
+    in chunks of rows to keep memory flat; ties go to the first (i, j)."""
+    resolution = len(a)
     best_val = np.inf
     best_i = best_j = 0
     chunk = 1024
@@ -80,7 +111,7 @@ def grid_oracle_two_by_two(q1, q2, w, resolution=10001):
         if f[i, j] < best_val:
             best_val = float(f[i, j])
             best_i, best_j = start + int(i), int(j)
-    return best_val - w, float(a[best_i]), float(a[best_j])
+    return best_val, best_i, best_j
 
 
 def random_cosine_instance(rng, n_max=64, k_max=16, feature_dim=64):
@@ -171,3 +202,60 @@ def reference_corrected_csv(probs, features, kernel, batch_size, solver_cfg):
         Z, _ = lame_correct(probs[sl], batch_affinity(kernel, features[sl]), solver_cfg)
         text += reference_csv_rows(start, np.argmax(Z, axis=1), Z)
     return text
+
+
+def reference_canonical_gram(X):
+    """X @ X.T in the canonical row layout, un-permuted by one broadcast
+    gather of fresh arrays."""
+    from lame_tta.numerics import canonical_row_order, inverse_permutation
+
+    order = canonical_row_order(X)
+    inv = inverse_permutation(order)
+    Xs = X[order]
+    return (Xs @ Xs.T)[inv[:, None], inv]
+
+
+def reference_pairwise_sq_distances(X):
+    """(sq_i + sq_j) - 2 G_ij, symmetrized, halved, clipped at 0 and with
+    a zero diagonal, each step in a fresh array."""
+    G = reference_canonical_gram(X)
+    sq = np.diag(G)
+    D = sq[:, None] + sq[None, :] - 2.0 * G
+    D = (D + D.T) / 2.0
+    np.clip(D, 0.0, None, out=D)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def reference_affinity(kind, X, k):
+    """W of ``KernelSpec(kind, k).build(X)`` from the kernel formulas on
+    fresh arrays; the rbf bandwidth takes the k-th distance from a full
+    sort. Raises the package's errors for a zero row (linear) and for an
+    all-zero bandwidth (rbf)."""
+    from lame_tta.numerics import canonical_row_order
+
+    X = np.asarray(X, dtype=float)
+    N = len(X)
+    if kind == "linear":
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        if np.any(norms == 0):
+            raise ValueError("cannot L2-normalize a zero feature row")
+        W = reference_canonical_gram(X / norms)
+        W = (W + W.T) / 2.0
+        np.fill_diagonal(W, 0.0)
+        return W
+    D = reference_pairwise_sq_distances(X)
+    offdiag = D.copy()
+    np.fill_diagonal(offdiag, np.inf)
+    if kind == "knn":
+        order = canonical_row_order(X)
+        nearest = order[np.argsort(offdiag[:, order], axis=1, kind="stable")[:, :k]]
+        A = np.zeros((N, N))
+        A[np.arange(N)[:, None], nearest] = 1.0
+        return (A + A.T) / 2.0
+    sigma = math.fsum(np.sqrt(np.sort(offdiag, axis=1)[:, k - 1])) / N
+    if sigma == 0.0:
+        raise ValueError("all points coincide; rbf bandwidth is zero")
+    W = np.exp(-D / (2.0 * sigma * sigma))
+    np.fill_diagonal(W, 0.0)
+    return W

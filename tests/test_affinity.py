@@ -13,7 +13,12 @@ from lame_tta.affinity import (
     rbf_affinity,
     validate_affinity,
 )
-from lame_tta.numerics import pairwise_sq_distances
+from lame_tta.numerics import canonical_gram, pairwise_sq_distances
+from oracles import (
+    reference_affinity,
+    reference_canonical_gram,
+    reference_pairwise_sq_distances,
+)
 
 
 def random_features(seed, N=None, d=None):
@@ -220,3 +225,31 @@ def test_rbf_bandwidth_equals_full_sort_bitwise_on_tied_distances():
         W = np.exp(-D / (2.0 * sigma * sigma))
         np.fill_diagonal(W, 0.0)
         assert rbf_affinity(X, k).tobytes() == W.tobytes()
+
+
+def build_or_error(build):
+    try:
+        return build().tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("N", [2, 3, 32, 64, 512])
+def test_in_place_affinity_builds_equal_fresh_array_formulas_bitwise(N):
+    # Gram, distances and every kernel's W against the same formulas on
+    # fresh arrays: on random batches and on integer lattices in {1,2,3}^6,
+    # whose distances tie often (and coincide at N=512)
+    rng = np.random.default_rng(N)
+    k = min(5, N - 1)
+    for X in (rng.standard_normal((N, 6)), rng.integers(1, 4, size=(N, 6)).astype(float)):
+        assert canonical_gram(X).tobytes() == reference_canonical_gram(X).tobytes()
+        assert pairwise_sq_distances(X).tobytes() == reference_pairwise_sq_distances(X).tobytes()
+        for kind in ("knn", "rbf", "linear"):
+            got = build_or_error(lambda: KernelSpec(kind, k).build(X))
+            assert got == build_or_error(lambda: reference_affinity(kind, X, k)), kind
+            assert isinstance(got, bytes), kind
+    coincident = np.ones((N, 6))
+    with pytest.raises(ValueError, match="rbf bandwidth is zero"):
+        rbf_affinity(coincident, k)
+    with pytest.raises(ValueError, match="rbf bandwidth is zero"):
+        reference_affinity("rbf", coincident, k)

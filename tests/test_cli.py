@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -183,12 +184,12 @@ def main_bounded(argv, seconds=120):
     return result[0]
 
 
-FAN_OUT_ROWS, FAN_OUT_K = 160, 1000  # 160k values: three shares at --workers 4
+FAN_OUT_ROWS, FAN_OUT_K = 160, 1000  # 160k values: four shares at --workers 4
 
 
 @pytest.mark.parametrize("kernel", ["knn", "rbf", "linear"])
 def test_correct_fan_out_same_bytes_for_any_worker_count(tmp_path, kernel):
-    assert FAN_OUT_ROWS * FAN_OUT_K >= 3 * SHARE_MIN
+    assert FAN_OUT_ROWS * FAN_OUT_K >= 4 * SHARE_MIN
     inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
     outputs = []
     for workers in ("1", "2", "4"):
@@ -229,6 +230,109 @@ def test_correct_empty_container_writes_header_only(tmp_path):
     assert main(["correct", "--input", str(inp), "--out", str(out)]) == 0
     assert (out / "corrected.csv").read_text() == "sample,prediction,p0,p1,p2\n"
     assert json.loads((out / "diagnostics.json").read_text()) == []
+
+
+CORRECT_TIMINGS = {"load_s", "affinity_s", "solve_s", "csv_s", "helpers"}
+
+
+def test_correct_timings_json_leaves_the_other_outputs_alone(tmp_path):
+    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
+    argv = ["correct", "--input", str(inp), "--batch-size", "64", "--workers", "2"]
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert main_bounded(argv + ["--out", str(out)]) == 0
+    timings = json.loads((outs[0] / "timings.json").read_text())
+    assert set(timings) == CORRECT_TIMINGS
+    assert all(math.isfinite(v) and v >= 0 for v in timings.values())
+    assert timings["helpers"] == 1
+    assert set(read_outputs(outs[0])) == {"corrected.csv", "diagnostics.json", "manifest.json"}
+    assert read_outputs(outs[0]) == read_outputs(outs[1])
+    data = load_embeddings(inp)
+    expected = reference_corrected_csv(
+        softmax_rows(data.logits), data.features, KernelSpec("knn", 5), 64, SolverConfig()
+    )
+    assert (outs[0] / "corrected.csv").read_text() == expected
+
+
+def test_correct_batches_straddling_share_bounds_keep_bytes_and_batch_order(tmp_path):
+    # 160 rows in batches of 48 (three full, one of 16) against share
+    # bounds at 80 (--workers 2) and at 40, 80, 120 (--workers 4)
+    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
+    outputs = []
+    for workers in ("1", "2", "4"):
+        out = tmp_path / f"w{workers}"
+        assert main_bounded(
+            ["correct", "--input", str(inp), "--kernel", "rbf", "--k", "3",
+             "--batch-size", "48", "--workers", workers, "--out", str(out)]
+        ) == 0
+        outputs.append(read_outputs(out))
+        helpers = json.loads((out / "timings.json").read_text())["helpers"]
+        assert helpers == int(workers) - 1
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    diags = json.loads(outputs[0]["diagnostics.json"])
+    assert [(d["batch"], d["size"]) for d in diags] == [(0, 48), (1, 48), (2, 48), (3, 16)]
+    data = load_embeddings(inp)
+    expected = reference_corrected_csv(
+        softmax_rows(data.logits), data.features, KernelSpec("rbf", 3), 48, SolverConfig()
+    )
+    assert outputs[0]["corrected.csv"].decode() == expected
+
+
+def test_correct_error_after_helpers_started_reaps_them(tmp_path, monkeypatch, capsys):
+    # rows 80-159 (share 1 at --workers 2) solve first and start a helper;
+    # then the first batch, 64 coincident rows, has a zero rbf bandwidth
+    rng = np.random.default_rng(3)
+    features = rng.standard_normal((FAN_OUT_ROWS, 8))
+    features[:64] = features[0]
+    data = Dataset(
+        features=features.astype(np.float32).astype(np.float64),
+        logits=rng.standard_normal((FAN_OUT_ROWS, FAN_OUT_K)).astype(np.float32).astype(np.float64),
+        labels=None,
+        class_count=FAN_OUT_K,
+    )
+    inp = tmp_path / "data.bin"
+    save_embeddings(data, inp)
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    out = tmp_path / "out"
+    assert main_bounded(
+        ["correct", "--input", str(inp), "--kernel", "rbf", "--batch-size", "64",
+         "--workers", "2", "--out", str(out)]
+    ) == 1
+    assert "rbf bandwidth is zero" in capsys.readouterr().err
+    assert not (out / "corrected.csv").exists()
+    assert len(started) == 1
+    assert all(proc.returncode is not None for proc in started)
+
+
+def test_correct_pooled_twenty_thousand_values_fan_out_same_bytes(tmp_path):
+    # 1024 rows of 40 classes pooled onto 20: 20,480 values, two shares
+    inp = make_embedding_file(tmp_path, N=1024, K=40, d=8)
+    mapping = write(tmp_path / "m.tsv", "".join(f"{c}\tG{c % 20:02d}\n" for c in range(40)))
+    assert 1024 * 20 >= 2 * SHARE_MIN
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main_bounded(
+            ["correct", "--input", str(inp), "--kernel", "rbf", "--mapping", str(mapping),
+             "--batch-size", "512", "--workers", workers, "--out", str(out)]
+        ) == 0
+        outputs.append(read_outputs(out))
+        helpers = json.loads((out / "timings.json").read_text())["helpers"]
+        assert helpers == int(workers) - 1
+    assert outputs[1] == outputs[0]
+    data = load_embeddings(inp)
+    probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=40))
+    expected = reference_corrected_csv(
+        probs, data.features, KernelSpec("rbf", 5), 512, SolverConfig()
+    )
+    assert outputs[0]["corrected.csv"].decode() == expected
 
 
 def run_helper(stdin, timeout=60):
