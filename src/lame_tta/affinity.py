@@ -80,6 +80,12 @@ def _check_features(features: np.ndarray, k: int | None = None) -> np.ndarray:
         raise ValueError("affinity kernels need an (N, d) matrix with N >= 2")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
+    # a squared distance is at most 4 max ||x_i||^2: past the float range,
+    # every kernel would build W from overflowed products
+    with np.errstate(over="ignore"):
+        reach = 4.0 * np.max(np.einsum("ij,ij->i", X, X))
+    if not math.isfinite(reach):
+        raise ValueError("features too large: squared distances overflow")
     N = X.shape[0]
     if k is not None and not 1 <= k <= N - 1:
         raise ValueError(f"k={k} out of range for N={N} (need 1 <= k <= N-1)")

@@ -15,10 +15,7 @@ import argparse
 import functools
 import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
@@ -88,72 +85,7 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
 # ---------------------------------------------------------------------------
 
 
-# ``lame correct`` fans its rows out only when every share holds at least
-# this many values. A helper interpreter starts in ~19 ms and formats 10k
-# values in 15 ms or more (1.5 µs each, 2-core x86 VM), so a share formats
-# for about as long as its helper takes to start, and while batches remain
-# to solve that start-up runs behind them.
-SHARE_MIN = 10_000
-
-
-def _write_corrected(path: Path, Z: np.ndarray, solve_from, workers: int) -> int:
-    """Write ``corrected.csv`` while ``solve_from(row)`` fills the rows of
-    ``Z`` from ``row`` on; return the number of helpers started.
-
-    The rows are cut into up to ``workers`` contiguous shares and solved
-    from the last share back. Once a share after the first is solved, a
-    helper interpreter (``csvrows.py``) formats it from a temp file while
-    this process solves the earlier rows. Then this process streams the
-    first share into the file and appends the helpers' outputs in order,
-    so the bytes do not depend on ``workers``. On any failure, a solve's
-    included, no ``corrected.csv`` is left and every helper is reaped."""
-    rows, K = Z.shape
-    shares = max(1, min(workers, rows * K // SHARE_MIN))
-    bounds = [rows * s // shares for s in range(shares + 1)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    procs, texts = [], []
-    try:
-        for s in range(shares - 1, 0, -1):
-            lo, hi = bounds[s], bounds[s + 1]
-            solve_from(lo)
-            texts.append(tempfile.TemporaryFile())
-            with tempfile.TemporaryFile() as job:
-                csvrows.write_job(job, lo, np.argmax(Z[lo:hi], axis=1), Z[lo:hi], K)
-                job.seek(0)
-                procs.append(subprocess.Popen(
-                    [sys.executable, "-I", "-S", csvrows.__file__], stdin=job, stdout=texts[-1]
-                ))
-        solve_from(0)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("sample,prediction," + ",".join(f"p{k}" for k in range(K)) + "\n")
-            head = Z[:bounds[1]]
-            fh.writelines(csvrows.format_rows(0, np.argmax(head, axis=1).tolist(), head.ravel(), K))
-            fh.flush()  # helpers' bytes go to the binary buffer under the text layer
-            for proc, text in zip(procs[::-1], texts[::-1]):
-                if proc.wait() != 0:
-                    raise OSError(f"row formatter helper exited with code {proc.returncode}")
-                text.seek(0)
-                shutil.copyfileobj(text, fh.buffer)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        for text in texts:
-            text.close()
-    return len(procs)
-
-
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be positive, got {args.workers}")
-
-
 def cmd_correct(args) -> None:
-    _check_workers(args)
     if args.batch_size < 1:
         raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
     out = Path(args.out)
@@ -167,29 +99,32 @@ def cmd_correct(args) -> None:
     probs = softmax_rows(data.logits)
     if mapping is not None:
         probs = pool_rows(probs, mapping)
-    timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0}
+    timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0, "csv_s": 0.0}
 
-    Z = np.empty(probs.shape)
-    starts = list(range(0, len(probs), args.batch_size))
-    diagnostics = [None] * len(starts)
-
-    def solve_from(row: int) -> None:
-        # every batch not yet solved that ends after ``row``, last first
-        while starts and starts[-1] + args.batch_size > row:
-            start = starts.pop()
-            b, sl = len(starts), slice(start, start + args.batch_size)
-            t1 = perf_counter()
-            W = batch_affinity(kernel, data.features[sl])
-            t2 = perf_counter()
-            Z[sl], diag = lame_correct(probs[sl], W, solver_cfg)
-            timings["affinity_s"] += t2 - t1
-            timings["solve_s"] += perf_counter() - t2
-            diagnostics[b] = {"batch": b, "size": len(Z[sl]), **asdict(diag)}
-
-    t1 = perf_counter()
-    helpers = _write_corrected(out / "corrected.csv", Z, solve_from, args.workers)
-    timings["csv_s"] = perf_counter() - t1 - timings["affinity_s"] - timings["solve_s"]
-    timings["helpers"] = helpers
+    # each batch is written as soon as it is solved; on any failure no
+    # corrected.csv is left
+    diagnostics = []
+    path = out / "corrected.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(path, "wb") as fh:
+            K = probs.shape[1]
+            fh.write(("sample,prediction," + ",".join(f"p{k}" for k in range(K)) + "\n").encode())
+            for start in range(0, len(probs), args.batch_size):
+                sl = slice(start, start + args.batch_size)
+                t1 = perf_counter()
+                W = batch_affinity(kernel, data.features[sl])
+                t2 = perf_counter()
+                Z, diag = lame_correct(probs[sl], W, solver_cfg)
+                t3 = perf_counter()
+                csvrows.write_rows(fh, start, Z)
+                timings["affinity_s"] += t2 - t1
+                timings["solve_s"] += t3 - t2
+                timings["csv_s"] += perf_counter() - t3
+                diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     _write_json(out / "diagnostics.json", diagnostics)
     _write_json(out / "timings.json", timings)
     _write_manifest(
@@ -287,6 +222,11 @@ def cmd_toy2d(args) -> None:
         },
         seeds[0],
     )
+
+
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be positive, got {args.workers}")
 
 
 def _family(args) -> tuple[dict[str, str], list[Scenario], list[int]]:
@@ -422,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=100)
-    common(p, workers="format corrected.csv in up to this many interpreters, "
-                      f"{SHARE_MIN}+ values each")
+    common(p)
     p.set_defaults(func=cmd_correct)
 
     p = add("simulate", help="materialize a scenario stream")

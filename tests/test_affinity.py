@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,20 @@ def test_rbf_coincident_points_error():
     X = np.zeros((3, 2))
     with pytest.raises(ValueError):
         rbf_affinity(X, 1)
+
+
+@pytest.mark.parametrize("kind", ["knn", "rbf", "linear"])
+def test_overflowing_squared_distances_raise_one_error_without_warnings(kind):
+    # 8 rows near 1e200: before the check, knn failed the zero-diagonal
+    # test, rbf the finiteness test and linear returned W = 0
+    X = np.random.default_rng(4).standard_normal((8, 4)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared distances overflow"):
+            KernelSpec(kind, 3).build(X)
+        # the largest rows whose squared distances stay finite still build
+        W = KernelSpec(kind, 3).build(X * 1e-47)
+    assert np.all(np.isfinite(W)) and np.any(W)
 
 
 @given(st.integers(0, 2**32 - 1))

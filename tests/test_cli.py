@@ -1,8 +1,6 @@
-import ast
+import io
 import json
 import math
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -11,7 +9,7 @@ import pytest
 
 from lame_tta import csvrows
 from lame_tta.affinity import KernelSpec
-from lame_tta.cli import SHARE_MIN, main
+from lame_tta.cli import main
 from lame_tta.config import (
     ConfigError,
     family_from_kv,
@@ -184,28 +182,24 @@ def main_bounded(argv, seconds=120):
     return result[0]
 
 
-FAN_OUT_ROWS, FAN_OUT_K = 160, 1000  # 160k values: four shares at --workers 4
+WIDE_ROWS, WIDE_K = 160, 1000  # 160k values, many formatter chunks
 
 
 @pytest.mark.parametrize("kernel", ["knn", "rbf", "linear"])
-def test_correct_fan_out_same_bytes_for_any_worker_count(tmp_path, kernel):
-    assert FAN_OUT_ROWS * FAN_OUT_K >= 4 * SHARE_MIN
-    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
-    outputs = []
-    for workers in ("1", "2", "4"):
-        out = tmp_path / f"w{workers}"
-        assert main_bounded(
-            ["correct", "--input", str(inp), "--kernel", kernel, "--k", "3",
-             "--batch-size", "64", "--workers", workers, "--out", str(out)]
-        ) == 0
-        outputs.append(read_outputs(out))
-    assert set(outputs[0]) == {"corrected.csv", "diagnostics.json", "manifest.json"}
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+def test_correct_thousand_classes_match_reference(tmp_path, kernel):
+    inp = make_embedding_file(tmp_path, N=WIDE_ROWS, K=WIDE_K, d=8)
+    out = tmp_path / "out"
+    assert main_bounded(
+        ["correct", "--input", str(inp), "--kernel", kernel, "--k", "3",
+         "--batch-size", "64", "--out", str(out)]
+    ) == 0
+    outputs = read_outputs(out)
+    assert set(outputs) == {"corrected.csv", "diagnostics.json", "manifest.json"}
     data = load_embeddings(inp)
     expected = reference_corrected_csv(
         softmax_rows(data.logits), data.features, KernelSpec(kernel, 3), 64, SolverConfig()
     )
-    assert outputs[0]["corrected.csv"].decode() == expected
+    assert outputs["corrected.csv"].decode() == expected
 
 
 def test_correct_small_output_with_mapping_matches_reference(tmp_path):
@@ -214,7 +208,7 @@ def test_correct_small_output_with_mapping_matches_reference(tmp_path):
     out = tmp_path / "out"
     assert main_bounded(
         ["correct", "--input", str(inp), "--mapping", str(mapping), "--batch-size", "16",
-         "--workers", "2", "--out", str(out)]
+         "--out", str(out)]
     ) == 0
     data = load_embeddings(inp)
     probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=3))
@@ -232,166 +226,120 @@ def test_correct_empty_container_writes_header_only(tmp_path):
     assert json.loads((out / "diagnostics.json").read_text()) == []
 
 
-CORRECT_TIMINGS = {"load_s", "affinity_s", "solve_s", "csv_s", "helpers"}
+CORRECT_TIMINGS = {"load_s", "affinity_s", "solve_s", "csv_s"}
 
 
 def test_correct_timings_json_leaves_the_other_outputs_alone(tmp_path):
-    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
-    argv = ["correct", "--input", str(inp), "--batch-size", "64", "--workers", "2"]
+    inp = make_embedding_file(tmp_path, N=WIDE_ROWS, K=WIDE_K, d=8)
+    argv = ["correct", "--input", str(inp), "--batch-size", "64"]
     outs = [tmp_path / "o1", tmp_path / "o2"]
     for out in outs:
         assert main_bounded(argv + ["--out", str(out)]) == 0
     timings = json.loads((outs[0] / "timings.json").read_text())
     assert set(timings) == CORRECT_TIMINGS
     assert all(math.isfinite(v) and v >= 0 for v in timings.values())
-    assert timings["helpers"] == 1
     assert set(read_outputs(outs[0])) == {"corrected.csv", "diagnostics.json", "manifest.json"}
     assert read_outputs(outs[0]) == read_outputs(outs[1])
-    data = load_embeddings(inp)
-    expected = reference_corrected_csv(
-        softmax_rows(data.logits), data.features, KernelSpec("knn", 5), 64, SolverConfig()
-    )
-    assert (outs[0] / "corrected.csv").read_text() == expected
 
 
-def test_correct_batches_straddling_share_bounds_keep_bytes_and_batch_order(tmp_path):
-    # 160 rows in batches of 48 (three full, one of 16) against share
-    # bounds at 80 (--workers 2) and at 40, 80, 120 (--workers 4)
-    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
-    outputs = []
-    for workers in ("1", "2", "4"):
-        out = tmp_path / f"w{workers}"
-        assert main_bounded(
-            ["correct", "--input", str(inp), "--kernel", "rbf", "--k", "3",
-             "--batch-size", "48", "--workers", workers, "--out", str(out)]
-        ) == 0
-        outputs.append(read_outputs(out))
-        helpers = json.loads((out / "timings.json").read_text())["helpers"]
-        assert helpers == int(workers) - 1
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    diags = json.loads(outputs[0]["diagnostics.json"])
+def test_correct_ragged_batches_keep_bytes_and_batch_order(tmp_path):
+    # 160 rows in batches of 48: three full, one of 16
+    inp = make_embedding_file(tmp_path, N=WIDE_ROWS, K=WIDE_K, d=8)
+    out = tmp_path / "out"
+    assert main_bounded(
+        ["correct", "--input", str(inp), "--kernel", "rbf", "--k", "3",
+         "--batch-size", "48", "--out", str(out)]
+    ) == 0
+    outputs = read_outputs(out)
+    diags = json.loads(outputs["diagnostics.json"])
     assert [(d["batch"], d["size"]) for d in diags] == [(0, 48), (1, 48), (2, 48), (3, 16)]
     data = load_embeddings(inp)
     expected = reference_corrected_csv(
         softmax_rows(data.logits), data.features, KernelSpec("rbf", 3), 48, SolverConfig()
     )
-    assert outputs[0]["corrected.csv"].decode() == expected
+    assert outputs["corrected.csv"].decode() == expected
 
 
-def test_correct_error_after_helpers_started_reaps_them(tmp_path, monkeypatch, capsys):
-    # rows 80-159 (share 1 at --workers 2) solve first and start a helper;
-    # then the first batch, 64 coincident rows, has a zero rbf bandwidth
+def test_correct_later_batch_error_leaves_no_csv(tmp_path, capsys):
+    # the first two batches are solved and written; then the last one, 32
+    # coincident rows, has a zero rbf bandwidth
     rng = np.random.default_rng(3)
-    features = rng.standard_normal((FAN_OUT_ROWS, 8))
-    features[:64] = features[0]
+    features = rng.standard_normal((WIDE_ROWS, 8))
+    features[128:] = features[128]
     data = Dataset(
         features=features.astype(np.float32).astype(np.float64),
-        logits=rng.standard_normal((FAN_OUT_ROWS, FAN_OUT_K)).astype(np.float32).astype(np.float64),
+        logits=rng.standard_normal((WIDE_ROWS, WIDE_K)).astype(np.float32).astype(np.float64),
         labels=None,
-        class_count=FAN_OUT_K,
+        class_count=WIDE_K,
     )
     inp = tmp_path / "data.bin"
     save_embeddings(data, inp)
-    started = []
-    popen = subprocess.Popen
-
-    def recording_popen(*args, **kwargs):
-        started.append(popen(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", recording_popen)
     out = tmp_path / "out"
     assert main_bounded(
         ["correct", "--input", str(inp), "--kernel", "rbf", "--batch-size", "64",
-         "--workers", "2", "--out", str(out)]
+         "--out", str(out)]
     ) == 1
     assert "rbf bandwidth is zero" in capsys.readouterr().err
     assert not (out / "corrected.csv").exists()
-    assert len(started) == 1
-    assert all(proc.returncode is not None for proc in started)
 
 
-def test_correct_pooled_twenty_thousand_values_fan_out_same_bytes(tmp_path):
-    # 1024 rows of 40 classes pooled onto 20: 20,480 values, two shares
+def test_correct_overflowing_features_exit_1_without_csv(tmp_path, capsys):
+    # the container holds float32 features, so rows near 1e200 arrive as inf
+    # and the loader rejects them; finite float32 rows never overflow the
+    # kernels' float64 distances (test_affinity covers that check)
+    inp = make_embedding_file(tmp_path, N=16, K=3)
+    data = load_embeddings(inp)
+    with np.errstate(over="ignore"):
+        save_embeddings(
+            Dataset(data.features * 1e200, data.logits, data.labels, data.class_count), inp
+        )
+    for kernel in ("knn", "rbf", "linear"):
+        out = tmp_path / kernel
+        assert main(["correct", "--input", str(inp), "--kernel", kernel, "--k", "3",
+                     "--batch-size", "8", "--out", str(out)]) == 1
+        assert "non-finite features" in capsys.readouterr().err
+        assert not (out / "corrected.csv").exists()
+
+
+def test_correct_pooled_twenty_thousand_values_match_reference(tmp_path):
+    # 1024 rows of 40 classes pooled onto 20: 20,480 values in two batches
     inp = make_embedding_file(tmp_path, N=1024, K=40, d=8)
     mapping = write(tmp_path / "m.tsv", "".join(f"{c}\tG{c % 20:02d}\n" for c in range(40)))
-    assert 1024 * 20 >= 2 * SHARE_MIN
-    outputs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        assert main_bounded(
-            ["correct", "--input", str(inp), "--kernel", "rbf", "--mapping", str(mapping),
-             "--batch-size", "512", "--workers", workers, "--out", str(out)]
-        ) == 0
-        outputs.append(read_outputs(out))
-        helpers = json.loads((out / "timings.json").read_text())["helpers"]
-        assert helpers == int(workers) - 1
-    assert outputs[1] == outputs[0]
+    out = tmp_path / "out"
+    assert main_bounded(
+        ["correct", "--input", str(inp), "--kernel", "rbf", "--mapping", str(mapping),
+         "--batch-size", "512", "--out", str(out)]
+    ) == 0
     data = load_embeddings(inp)
     probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=40))
     expected = reference_corrected_csv(
         probs, data.features, KernelSpec("rbf", 5), 512, SolverConfig()
     )
-    assert outputs[0]["corrected.csv"].decode() == expected
+    assert (out / "corrected.csv").read_text() == expected
 
 
-def run_helper(stdin, timeout=60):
-    return subprocess.run(
-        [sys.executable, "-I", "-S", csvrows.__file__],
-        stdin=stdin, capture_output=True, timeout=timeout,
-    )
-
-
-def test_csvrows_helper_formats_edge_values_like_repr(tmp_path):
-    values = np.array([[0.0, 5e-324, 1e-05], [0.0001, 0.1, 1.0]])
-    preds = np.array([2, 0], dtype=np.int64)
-    job = tmp_path / "job"
-    with open(job, "wb") as fh:
-        csvrows.write_job(fh, 7, preds, values, 3)
-    with open(job, "rb") as fh:
-        done = run_helper(fh)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.decode() == reference_csv_rows(7, preds, values)
-    assert done.stdout.decode().startswith("7,2,0.0,5e-324,1e-05\n8,0,0.0001,0.1,1.0\n")
-
-
-def test_csvrows_helper_imports_only_the_standard_library(tmp_path):
-    tree = ast.parse(Path(csvrows.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "relative import in csvrows.py"
-            imported.add(node.module.split(".")[0])
-    assert imported and imported <= set(sys.stdlib_module_names) | {"__future__"}
-    empty = tmp_path / "empty"
-    empty.write_bytes(b"")
-    with open(empty, "rb") as fh:
-        done = run_helper(fh)
-    assert (done.returncode, done.stdout) == (0, b""), done.stderr
-
-
-def fake_interpreter(tmp_path, script: str) -> str:
-    path = tmp_path / "fake-python"
-    path.write_text("#!/bin/sh\n" + script + "\n", encoding="utf-8")
-    path.chmod(0o755)
-    return str(path)
-
-
-@pytest.mark.parametrize("interpreter", ["missing", "exits-nonzero"])
-def test_correct_helper_failure_is_io_error_without_csv(tmp_path, monkeypatch, interpreter):
-    inp = make_embedding_file(tmp_path, N=FAN_OUT_ROWS, K=FAN_OUT_K, d=8)
-    if interpreter == "missing":
-        executable = str(tmp_path / "no-such-python")
-    else:
-        executable = fake_interpreter(tmp_path, "exit 3")
-    monkeypatch.setattr(sys, "executable", executable)
+def test_correct_collapsed_rbf_rows_with_exact_ones_match_reference(tmp_path):
+    # dense rbf at batch 128 collapses rows onto one class: their cells are
+    # exact 1.0 next to values far below 1e-16
+    inp = make_embedding_file(tmp_path, N=256, K=12, d=6, seed=8)
     out = tmp_path / "out"
-    assert main_bounded(
-        ["correct", "--input", str(inp), "--workers", "4", "--out", str(out)]
-    ) == 2
-    assert not (out / "corrected.csv").exists()
+    assert main(["correct", "--input", str(inp), "--kernel", "rbf", "--batch-size", "128",
+                 "--out", str(out)]) == 0
+    data = load_embeddings(inp)
+    expected = reference_corrected_csv(
+        softmax_rows(data.logits), data.features, KernelSpec("rbf", 5), 128, SolverConfig()
+    )
+    text = (out / "corrected.csv").read_text()
+    assert text == expected
+    assert text.count(",1.0,") + text.count(",1.0\n") >= 10
+
+
+def test_csvrows_helper_formats_edge_values_like_repr():
+    values = np.array([[0.0, 5e-324, 1e-05], [0.0001, 0.1, 1.0]])
+    fh = io.BytesIO()
+    csvrows.write_rows(fh, 7, values)
+    assert fh.getvalue().decode() == reference_csv_rows(7, np.argmax(values, axis=1), values)
+    assert fh.getvalue() == b"7,2,0.0,5e-324,1e-05\n8,2,0.0001,0.1,1.0\n"
 
 
 def test_simulate_writes_dataset_stream_manifest(tmp_path):
@@ -538,6 +486,7 @@ def test_grid_rerun_byte_identical(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["correct", "--input", "d.bin", "--workers", "2"],
         ["simulate", "--config", "s.cfg", "--workers", "2"],
         ["toy2d", "--workers", "2"],
         ["matrix", "--grid-results", "r.csv", "--workers", "2"],
@@ -572,7 +521,11 @@ def test_non_positive_workers_rejected(tmp_path, capsys, subcommand, workers):
     }[subcommand]
     out = tmp_path / "out"
     assert main([subcommand, *argv, "--workers", workers, "--out", str(out)]) == 1
-    assert "--workers must be positive" in capsys.readouterr().err
+    # correct has no --workers at all, so the flag is a parse error there
+    expected = {
+        "correct": f"unrecognized arguments: --workers {workers}",
+    }.get(subcommand, "--workers must be positive")
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
