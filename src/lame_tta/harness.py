@@ -26,7 +26,7 @@ from .streams import (
     load_embeddings,
     make_stream,
 )
-from .toy import STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, toy_predict
+from .toy import STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, blend_stats, toy_predict
 
 METHOD_KINDS = ("baseline", "lame", "entropy_min", "pseudo_label", "shot_im", "restandardize_only")
 NAM_KINDS = ("entropy_min", "pseudo_label", "shot_im")
@@ -205,10 +205,15 @@ def run_online(
 ) -> RunResult:
     """Process a stream in order, adapting and predicting per batch.
 
-    The three timing stages split the per-batch work: materializing the
-    source probabilities (first forward analog), the solver or gradient
-    step (optimization), and the post-update re-prediction that only
-    parameter-modifying methods need (exactly zero for baseline and lame).
+    The three timing stages split the per-batch work. For baseline and
+    lame, ``forward_emulation`` materializes the source probabilities,
+    ``optimization`` is the affinity build and the solve, and
+    ``second_forward`` is exactly zero. For the adapted methods
+    (entropy_min, pseudo_label, shot_im), ``forward_emulation`` is the
+    running-statistics update, ``optimization`` the loss forward, the
+    backward pass and the parameter update, and ``second_forward`` the
+    re-prediction with the updated model. restandardize_only does its one
+    forward in ``forward_emulation``.
     """
     d, K = _validate_stream(stream)
     if method.kind in NAM_KINDS + ("restandardize_only",):
@@ -251,7 +256,7 @@ def run_online(
             timings["forward_emulation"] += time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
-            _, stats = toy_predict(model, X, stats, method.adapt.stat_momentum)
+            stats = blend_stats(stats, X, method.adapt.stat_momentum)
             timings["forward_emulation"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             model, velocity = STEP_FUNCTIONS[method.kind](
@@ -291,23 +296,22 @@ def run_online(
 
 
 def _run_cell(args):
+    """Every spec's run on one (scenario, seed) stream. A ValueError or an
+    OSError comes out as the same kind, which the CLI maps to its exit
+    code, with the failing cell named in the message."""
     scenario, seed, specs = args
+    step = "(building the stream)"
     try:
         stream, source = scenario.build(seed)
-    except Exception as exc:
-        raise RuntimeError(
-            f"grid cell failed: scenario={scenario.scenario_id} seed={seed} "
-            f"(building the stream): {exc}"
-        ) from exc
-    out = []
-    for spec in specs:
-        try:
+        out = []
+        for spec in specs:
+            step = f"method={spec.label()}"
             out.append(run_online(stream, spec, seed, scenario.scenario_id, source))
-        except Exception as exc:
-            raise RuntimeError(
-                f"grid cell failed: scenario={scenario.scenario_id} seed={seed} "
-                f"method={spec.label()}"
-            ) from exc
+    except (ValueError, OSError) as exc:
+        kind = ValueError if isinstance(exc, ValueError) else OSError
+        raise kind(
+            f"grid cell failed: scenario={scenario.scenario_id} seed={seed} {step}: {exc}"
+        ) from exc
     return out
 
 

@@ -163,14 +163,15 @@ def generate_synthetic(
     return dataset, model, stats
 
 
-def generate_toy2d(
-    n: int,
-    seed: int,
-    n_train: int = 512,
-    fit_iters: int = 300,
-    fit_lr: float = 0.5,
-    ridge: float = 0.1,
-) -> tuple[Dataset, ToyModel, RunningStats]:
+# the toy2d source model's fit: training points, gradient steps, step size
+# and ridge weight
+TOY2D_N_TRAIN = 512
+TOY2D_FIT_ITERS = 300
+TOY2D_FIT_LR = 0.5
+TOY2D_RIDGE = 0.1
+
+
+def generate_toy2d(n: int, seed: int) -> tuple[Dataset, ToyModel, RunningStats]:
     """Two-class sinusoidal toy set with a source model fit on a narrow slab.
 
     Points are uniform on [-pi, pi] x [-2, 2] with label 1 iff
@@ -196,19 +197,20 @@ def generate_toy2d(
     y = (X[:, 1] > np.sin(X[:, 0])).astype(np.int64)
 
     Xt = np.column_stack(
-        [rng.uniform(-np.pi / 2, np.pi / 2, n_train), rng.uniform(-2.0, 2.0, n_train)]
+        [rng.uniform(-np.pi / 2, np.pi / 2, TOY2D_N_TRAIN),
+         rng.uniform(-2.0, 2.0, TOY2D_N_TRAIN)]
     )
     yt = (Xt[:, 1] > np.sin(Xt[:, 0])).astype(np.int64)
     stats = RunningStats(mean=Xt.mean(axis=0), var=Xt.var(axis=0))
     xh = (Xt - stats.mean) / np.sqrt(stats.var + 1e-5)
     w = np.zeros(2)
     c = 0.0
-    for _ in range(fit_iters):
+    for _ in range(TOY2D_FIT_ITERS):
         z = xh @ w + c
         p = 1.0 / (1.0 + np.exp(-z))
         g = p - yt
-        w -= fit_lr * ((xh * g[:, None]).mean(axis=0) + ridge * w)
-        c -= fit_lr * g.mean()
+        w -= TOY2D_FIT_LR * ((xh * g[:, None]).mean(axis=0) + TOY2D_RIDGE * w)
+        c -= TOY2D_FIT_LR * g.mean()
     model = fresh_model(np.vstack([np.zeros(2), w]), np.array([0.0, c]))
 
     logits = toy_scores(model, X, stats)

@@ -2,9 +2,11 @@
 
 The model standardizes features with running statistics, applies a
 per-feature scale/bias pair (the batch-norm affine analog), then a linear
-head and softmax. One adaptation step, :func:`adapt_step`, minimizes any
-of the unsupervised losses by plain SGD (optional heavy-ball momentum)
-over a chosen parameter partition, with analytic gradients.
+head and softmax. One adaptation step, :func:`adapt_step`, runs one
+forward for its loss and analytic gradients, then one plain SGD update
+(optional heavy-ball momentum) over the parameters that the chosen
+partition's mask in :data:`PARTITIONS` selects. The heavy-ball state is a
+tuple of arrays in :data:`PARAM_NAMES` order.
 """
 
 from __future__ import annotations
@@ -20,8 +22,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 VAR_EPS = 1e-5
 
-PARTITIONS = ("pre_transform_only", "head_only", "all")
 PARAM_NAMES = ("scale", "bias", "head_weights", "head_bias")
+# partition name -> which of PARAM_NAMES an adaptation step updates
+PARTITIONS = {
+    "pre_transform_only": (True, True, False, False),
+    "head_only": (False, False, True, True),
+    "all": (True, True, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -86,21 +93,7 @@ class AdaptConfig:
         if not 0.0 <= self.stat_momentum <= 1.0:
             raise ValueError("stat_momentum must be in [0, 1]")
         if self.partition not in PARTITIONS:
-            raise ValueError(f"partition must be one of {PARTITIONS}")
-
-
-@dataclass
-class Velocity:
-    """Heavy-ball state, one slot per parameter."""
-
-    scale: np.ndarray
-    bias: np.ndarray
-    head_weights: np.ndarray
-    head_bias: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, model: ToyModel) -> "Velocity":
-        return cls(*(np.zeros_like(getattr(model, n)) for n in PARAM_NAMES))
+            raise ValueError(f"partition must be one of {tuple(PARTITIONS)}")
 
 
 def blend_stats(stats: RunningStats, X: np.ndarray, stat_momentum: float) -> RunningStats:
@@ -154,15 +147,20 @@ def _safe_log(Q: np.ndarray) -> np.ndarray:
     return np.where(Q > 0, np.log(np.where(Q > 0, Q, 1.0)), 0.0)
 
 
+def _entropy(Q: np.ndarray):
+    """Per-row entropy H of the softmax rows Q, and its gradient w.r.t.
+    the pre-softmax scores."""
+    logQ = _safe_log(Q)
+    H = -(Q * logQ).sum(axis=1)
+    return H, -(Q * (logQ + H[:, None]))
+
+
 def entropy_min_loss(model: ToyModel, X: np.ndarray, stats: RunningStats):
     """Mean prediction entropy and its gradient w.r.t. all parameters."""
     N = X.shape[0]
     Q, xhat, h = _forward(model, X, stats)
-    logQ = _safe_log(Q)
-    H = -(Q * logQ).sum(axis=1)
-    loss = float(H.mean())
-    G = -(Q * (logQ + H[:, None])) / N
-    return loss, _backprop(G, model, xhat, h)
+    H, dH = _entropy(Q)
+    return float(H.mean()), _backprop(dH / N, model, xhat, h)
 
 
 def pseudo_label_loss(model: ToyModel, X: np.ndarray, stats: RunningStats):
@@ -182,16 +180,13 @@ def shot_im_loss(model: ToyModel, X: np.ndarray, stats: RunningStats):
     """Mean conditional entropy minus the entropy of the marginal."""
     N = X.shape[0]
     Q, xhat, h = _forward(model, X, stats)
-    logQ = _safe_log(Q)
-    qlogq = (Q * logQ).sum(axis=1)
-    H = -qlogq
+    H, dH = _entropy(Q)
     qbar = Q.mean(axis=0)
     log_qbar = _safe_log(qbar)
     loss = float(H.mean() + (qbar * log_qbar).sum())
-    G_cond = -(Q * (logQ + H[:, None])) / N
     inner = (Q * log_qbar[None, :]).sum(axis=1)
     G_marg = (Q * (log_qbar[None, :] - inner[:, None])) / N
-    return loss, _backprop(G_cond + G_marg, model, xhat, h)
+    return loss, _backprop(dH / N + G_marg, model, xhat, h)
 
 
 def _backprop(G: np.ndarray, model: ToyModel, xhat: np.ndarray, h: np.ndarray):
@@ -203,31 +198,20 @@ def _backprop(G: np.ndarray, model: ToyModel, xhat: np.ndarray, h: np.ndarray):
     return ggamma, gbeta, gV, gb
 
 
-def _partition_mask(partition: str) -> tuple[bool, bool, bool, bool]:
-    if partition == "pre_transform_only":
-        return True, True, False, False
-    if partition == "head_only":
-        return False, False, True, True
-    return True, True, True, True
-
-
 def _sgd_step(
-    model: ToyModel, grads, cfg: AdaptConfig, velocity: Velocity | None
-) -> tuple[ToyModel, Velocity]:
+    model: ToyModel, grads, cfg: AdaptConfig, velocity: tuple[np.ndarray, ...] | None
+) -> tuple[ToyModel, tuple[np.ndarray, ...]]:
+    params = [getattr(model, name) for name in PARAM_NAMES]
     if velocity is None:
-        velocity = Velocity.zeros_like(model)
-    mask = _partition_mask(cfg.partition)
-    new_params = {}
-    new_vel = {}
-    for name, g, active in zip(PARAM_NAMES, grads, mask):
-        p = getattr(model, name)
-        v = getattr(velocity, name)
+        velocity = tuple(np.zeros_like(p) for p in params)
+    new_params, new_velocity = [], []
+    for p, v, g, active in zip(params, velocity, grads, PARTITIONS[cfg.partition]):
         if active:
             v = cfg.momentum * v + g
             p = p - cfg.lr * v
-        new_params[name] = p
-        new_vel[name] = v
-    return ToyModel(**new_params), Velocity(**new_vel)
+        new_params.append(p)
+        new_velocity.append(v)
+    return ToyModel(*new_params), tuple(new_velocity)
 
 
 def adapt_step(
@@ -236,10 +220,11 @@ def adapt_step(
     X: np.ndarray,
     cfg: AdaptConfig,
     stats: RunningStats,
-    velocity: Velocity | None = None,
-) -> tuple[ToyModel, Velocity]:
+    velocity: tuple[np.ndarray, ...] | None = None,
+) -> tuple[ToyModel, tuple[np.ndarray, ...]]:
     """One SGD step on ``loss`` (an entry of :data:`LOSS_FUNCTIONS`) over
-    the configured partition."""
+    the configured partition. ``velocity`` is the heavy-ball state that the
+    previous step returned; None starts it at zero."""
     _, grads = loss(model, np.asarray(X, dtype=float), stats)
     return _sgd_step(model, grads, cfg, velocity)
 

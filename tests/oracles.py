@@ -259,3 +259,22 @@ def reference_affinity(kind, X, k):
     W = np.exp(-D / (2.0 * sigma * sigma))
     np.fill_diagonal(W, 0.0)
     return W
+
+
+def reference_adapted_run(stream, method, source):
+    """An adapted method's online run as a full prediction (its running
+    statistics kept, its probabilities dropped), the adaptation step, and
+    the re-prediction per batch. Returns every batch's re-predicted
+    probabilities."""
+    from lame_tta.toy import STEP_FUNCTIONS, toy_predict
+
+    model, stats = source
+    velocity = None
+    out = []
+    for batch in stream:
+        _, stats = toy_predict(model, batch.features, stats, method.adapt.stat_momentum)
+        model, velocity = STEP_FUNCTIONS[method.kind](
+            model, batch.features, method.adapt, stats, velocity
+        )
+        out.append(toy_predict(model, batch.features, stats, 0.0)[0])
+    return out

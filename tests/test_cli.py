@@ -529,6 +529,35 @@ def test_non_positive_workers_rejected(tmp_path, capsys, subcommand, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("failure", ["missing_source", "partial_mapping"])
+@pytest.mark.parametrize("subcommand", ["grid", "sweep"])
+def test_grid_and_sweep_cell_errors_exit_with_their_code(
+    tmp_path, capsys, subcommand, failure, workers
+):
+    # a cell's I/O error exits 2 and its validation error 1, as in every
+    # other subcommand, with the cell named and no traceback
+    mapping = write(tmp_path / "map.tsv", "0\tA\n1\tB\n")  # 2 of the 8 classes
+    source, extra, code, message = {
+        "missing_source": (tmp_path / "missing.bin", "", 2, "i/o error: "),
+        "partial_mapping": ("synthetic:K=8,d=6,n_per_class=20", f"mapping = {mapping}\n",
+                            1, "error: "),
+    }[failure]
+    cfg = write(
+        tmp_path / "family.cfg",
+        f"source = {source}\nscenarios = A\nbatch_size = 16\nseeds = 0\n{extra}",
+    )
+    argv = {"grid": ["--method", "lame"], "sweep": ["--sizes", "8"]}[subcommand]
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), *argv, "--workers", workers,
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message + "grid cell failed: scenario=A seed=0 (building the stream)")
+    assert ("missing.bin" if code == 2 else "mapping covers 2 source classes") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_seed_flag_replaces_the_config_seeds(tmp_path):
     cfg = write(
         tmp_path / "family.cfg",

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from lame_tta import harness, toy
 from lame_tta.affinity import KernelSpec
 from lame_tta.harness import (
     MethodSpec,
@@ -19,8 +22,9 @@ from lame_tta.harness import (
     synthetic_family,
 )
 from lame_tta.solver import SolverConfig
-from lame_tta.streams import ScenarioSpec, SyntheticConfig
-from lame_tta.toy import AdaptConfig
+from lame_tta.streams import Dataset, ScenarioSpec, SyntheticConfig, save_embeddings
+from lame_tta.toy import PARTITIONS, AdaptConfig
+from oracles import reference_adapted_run
 
 CFG = SyntheticConfig(K=4, d=6, n_per_class=60, cluster_spread=0.3,
                       rotation_angle=0.4, noise_sigma=0.25)
@@ -129,6 +133,50 @@ def test_nam_runs_record_second_forward_time():
     assert res.timings["optimization"] > 0.0
 
 
+def test_adapted_runs_match_reference_bitwise(monkeypatch):
+    # the running statistics come from blend_stats alone, not from a full
+    # prediction whose probabilities are dropped; every re-predicted
+    # probability must keep its bits
+    stream, source = scenario("D").build(4)
+    predicted = []
+
+    def recording_predict(*args):
+        Q, stats = toy.toy_predict(*args)
+        predicted.append(Q)
+        return Q, stats
+
+    monkeypatch.setattr(harness, "toy_predict", recording_predict)
+    for kind, lr, momentum, stat_momentum, partition in itertools.product(
+        ("entropy_min", "pseudo_label", "shot_im"), (0.01, 0.1), (0.0, 0.9), (0.0, 0.1, 1.0),
+        PARTITIONS,
+    ):
+        spec = MethodSpec(kind, adapt=AdaptConfig(lr, momentum, stat_momentum, partition))
+        predicted.clear()
+        res = run_online(stream, spec, 4, "D", source)
+        expected = reference_adapted_run(stream, spec, source)
+        assert len(predicted) == len(expected) == len(stream)
+        for Q, Q_ref, preds in zip(predicted, expected, res.batch_predictions):
+            assert np.array_equal(Q, Q_ref)
+            assert np.array_equal(preds, Q_ref.argmax(axis=1))
+
+
+@pytest.mark.parametrize("kind", ["entropy_min", "pseudo_label", "shot_im"])
+def test_adapted_batch_runs_two_forwards(monkeypatch, kind):
+    # one forward for the loss and its gradients, one for the re-prediction
+    stream, source = scenario("B").build(1)
+    forward = toy._forward
+    calls = []
+
+    def counting_forward(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(toy, "_forward", counting_forward)
+    spec = MethodSpec(kind, adapt=AdaptConfig(lr=0.01, stat_momentum=0.1))
+    run_online(stream, spec, 1, "B", source)
+    assert len(calls) == 2 * len(stream)
+
+
 def test_grid_search_single_point():
     sc = [scenario("A"), scenario("D")]
     grid = [MethodSpec("lame", kernel=KernelSpec("knn", 5))]
@@ -171,6 +219,29 @@ def test_grid_search_failing_cell_identified():
     bad = Scenario("X", ScenarioSpec(source="/nonexistent.bin", batch_size=4))
     with pytest.raises(Exception, match="scenario=X"):
         run_grid_jobs([bad], [baseline_spec()], [0], workers=1)
+
+
+def test_grid_cell_errors_keep_their_kind(tmp_path, monkeypatch):
+    # a method's ValueError reaches the CLI as a ValueError (exit code 1)
+    # with the cell and the method named; anything else propagates unchanged
+    rng = np.random.default_rng(0)
+    path = tmp_path / "data.bin"
+    save_embeddings(
+        Dataset(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)),
+                np.arange(8) % 2, 2),
+        path,
+    )
+    on_file = Scenario("F", ScenarioSpec(source=str(path), batch_size=4))
+    spec = MethodSpec("entropy_min", adapt=AdaptConfig(lr=0.01))
+    with pytest.raises(ValueError, match=r"scenario=F seed=0 method=entropy_min\[.*source"):
+        run_grid_jobs([on_file], [spec], [0], workers=1)
+
+    def broken(*args):
+        raise KeyError("not a cell error")
+
+    monkeypatch.setattr(harness, "run_online", broken)
+    with pytest.raises(KeyError, match="not a cell error"):
+        run_grid_jobs([scenario("A")], [baseline_spec()], [0], workers=1)
 
 
 def test_cross_shift_matrix_hand_example():

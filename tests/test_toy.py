@@ -9,7 +9,6 @@ from lame_tta.toy import (
     AdaptConfig,
     RunningStats,
     ToyModel,
-    Velocity,
     blend_stats,
     collapse_demo,
     entropy_min_loss,
@@ -169,13 +168,6 @@ def test_pseudo_label_confident_model_tiny_step():
     )
     out, _ = pseudo_label_step(confident, X, AdaptConfig(lr=0.1, partition="head_only"), stats)
     assert np.max(np.abs(out.head_weights - confident.head_weights)) < 1e-6
-
-
-def test_velocity_starts_at_zero():
-    X, model, stats = random_setup(8)
-    v = Velocity.zeros_like(model)
-    for name in PARAM_NAMES:
-        assert np.all(getattr(v, name) == 0.0)
 
 
 def test_adapt_config_validation():
