@@ -24,7 +24,7 @@ from .harness import (
     run_online,
     synthetic_family,
 )
-from .mapping import ClassMapping, parse_mapping, pool_average, pool_max
+from .mapping import ClassMapping, parse_mapping, pool_average
 from .numerics import pairwise_sq_distances, softmax_rows
 from .solver import (
     SolveDiagnostics,

@@ -38,17 +38,16 @@ from .harness import (
     rows_from_csv,
     timings_payload,
 )
-from .mapping import load_mapping, pool_rows
-from .numerics import softmax_rows
+from .mapping import load_mapping
 from .solver import SolverConfig, lame_correct
 from .streams import (
     ScenarioSpec,
-    SyntheticConfig,
-    generate_synthetic,
     generate_toy2d,
     load_embeddings,
+    load_source,
     make_stream,
     save_embeddings,
+    source_probs,
 )
 from .toy import collapse_demo
 
@@ -67,17 +66,39 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
+# parsed arguments the manifest leaves out: the subcommand is its own key,
+# the handler, the output directory and the pool size change no output,
+# and the config file, its overrides and --seed are folded into the
+# resolved config
+MANIFEST_EXCLUDED = frozenset(("subcommand", "func", "out", "workers", "config", "set", "seed"))
+
+
+def _write_manifest(args, seed, kv: dict[str, str] | None = None) -> None:
+    """manifest.json: the resolved config ``kv`` plus every parsed argument
+    but the excluded ones, an unset or empty one as ``none``."""
+    config = dict(kv or {})
+    for key, value in vars(args).items():
+        if key not in MANIFEST_EXCLUDED:
+            config[key] = "none" if value is None or value == "" else value
     _write_json(
-        out / "manifest.json",
+        Path(args.out) / "manifest.json",
         {
             "tool": "lame",
             "version": __version__,
-            "subcommand": subcommand,
+            "subcommand": args.subcommand,
             "config": {k: str(v) for k, v in sorted(config.items())},
             "seed": seed,
         },
     )
+
+
+def _read_config(args, seed_key: str) -> dict[str, str]:
+    """The resolved config: the file, its ``--set`` overrides, and ``--seed``
+    written into ``seed_key``."""
+    kv = read_config(args.config, args.set)
+    if args.seed is not None:
+        kv[seed_key] = str(args.seed)
+    return kv
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +117,7 @@ def cmd_correct(args) -> None:
     solver_cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
     # file order is preserved: correction is a filter, not an evaluation
-    probs = softmax_rows(data.logits)
-    if mapping is not None:
-        probs = pool_rows(probs, mapping)
+    probs = source_probs(data.logits, mapping)
     timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0, "csv_s": 0.0}
 
     # each batch is written as soon as it is solved; on any failure no
@@ -108,8 +127,7 @@ def cmd_correct(args) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(path, "wb") as fh:
-            K = probs.shape[1]
-            fh.write(("sample,prediction," + ",".join(f"p{k}" for k in range(K)) + "\n").encode())
+            csvrows.write_header(fh, probs.shape[1])
             for start in range(0, len(probs), args.batch_size):
                 sl = slice(start, start + args.batch_size)
                 t1 = perf_counter()
@@ -127,42 +145,21 @@ def cmd_correct(args) -> None:
         raise
     _write_json(out / "diagnostics.json", diagnostics)
     _write_json(out / "timings.json", timings)
-    _write_manifest(
-        out,
-        "correct",
-        {
-            "input": args.input,
-            "kernel": args.kernel,
-            "k": args.k,
-            "mapping": args.mapping or "none",
-            "batch_size": args.batch_size,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-        },
-        None,
-    )
+    _write_manifest(args, None)
 
 
 def cmd_simulate(args) -> None:
     out = Path(args.out)
-    kv = read_config(args.config, args.set)
-    if args.seed is not None:
-        kv["seed"] = str(args.seed)
+    kv = _read_config(args, "seed")
     spec = scenario_from_kv(kv)
-    if isinstance(spec.source, SyntheticConfig):
-        data, _, _ = generate_synthetic(spec.source, spec.seed)
-    else:
-        data = load_embeddings(spec.source)
+    data, _ = load_source(spec.source, spec.seed)
     stream = make_stream(data, spec)
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(data, out / "dataset.lame.bin")
 
     counts = [len(batch) for batch in stream]
-    batch_index = [b for b, n in enumerate(counts) for _ in range(n)]
-    _write_text(
-        out / "stream.csv",
-        csv_text(("batch_index", "sample_index"), zip(batch_index, range(len(batch_index)))),
-    )
+    rows = ((b, row) for b, batch in enumerate(stream) for row in batch.rows.tolist())
+    _write_text(out / "stream.csv", csv_text(("batch_index", "sample_index"), rows))
     _write_json(
         out / "summary.json",
         {
@@ -173,7 +170,7 @@ def cmd_simulate(args) -> None:
             "class_count": data.class_count,
         },
     )
-    _write_manifest(out, "simulate", kv, spec.seed)
+    _write_manifest(args, spec.seed, kv)
 
 
 def cmd_toy2d(args) -> None:
@@ -211,17 +208,7 @@ def cmd_toy2d(args) -> None:
         out / "toy2d_accuracy_baseline.csv",
         csv_text(XY, zip(steps, np.mean(baseline_acc, axis=0))),
     )
-    _write_manifest(
-        out,
-        "toy2d",
-        {
-            "lrs": args.lrs,
-            "seeds": args.seeds,
-            "batches": args.batches,
-            "batch_size": args.batch_size,
-        },
-        seeds[0],
-    )
+    _write_manifest(args, seeds[0])
 
 
 def _check_workers(args) -> None:
@@ -233,9 +220,8 @@ def _family(args) -> tuple[dict[str, str], list[Scenario], list[int]]:
     """The resolved family config, its scenarios and its seeds (``--seed``
     replaces the list)."""
     _check_workers(args)
-    kv = read_config(args.config, args.set)
-    scenarios, seeds = family_from_kv(kv)
-    return kv, scenarios, seeds if args.seed is None else [args.seed]
+    kv = _read_config(args, "seeds")
+    return kv, *family_from_kv(kv)
 
 
 def cmd_grid(args) -> None:
@@ -261,7 +247,7 @@ def cmd_grid(args) -> None:
         },
     )
     _write_json(out / "timings.json", timings_payload(result.runs))
-    _write_manifest(out, "grid", {**kv, "method": args.method}, seeds)
+    _write_manifest(args, seeds, kv)
 
 
 def cmd_matrix(args) -> None:
@@ -284,7 +270,7 @@ def cmd_matrix(args) -> None:
             "chosen_row_indices": matrix.chosen,
         },
     )
-    _write_manifest(out, "matrix", {"grid_results": args.grid_results}, None)
+    _write_manifest(args, None)
 
 
 def cmd_sweep(args) -> None:
@@ -307,7 +293,7 @@ def cmd_sweep(args) -> None:
         out / "sweep_baseline.csv",
         csv_text(XY, ((p.batch_size, p.baseline_acc) for p in points)),
     )
-    _write_manifest(out, "sweep", {**kv, "sizes": args.sizes, "k": args.k}, seeds)
+    _write_manifest(args, seeds, kv)
 
 
 def cmd_report(args) -> None:
@@ -318,7 +304,7 @@ def cmd_report(args) -> None:
               "min_accuracy", "max_accuracy")
     _write_text(out / "summary.csv", csv_text(header, (rec.values() for rec in summary)))
     _write_json(out / "summary.json", summary)
-    _write_manifest(out, "report", {"results": args.results}, None)
+    _write_manifest(args, None)
 
 
 # ---------------------------------------------------------------------------

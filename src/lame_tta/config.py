@@ -135,6 +135,10 @@ def family_from_kv(kv: dict[str, str]) -> tuple[list[Scenario], list[int]]:
         raise ConfigError(f"bad seeds list {kv.get('seeds')!r}") from None
     if not seeds:
         raise ConfigError("seeds list is empty")
+    for name, values in (("scenario letter", letters), ("seed", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ConfigError(f"repeated {name}(s) {repeated}: each would run twice")
     zipf = _parse_zipf(kv.get("zipf_s", "1.0"))
     if zipf is None and any(letter in ("C", "D") for letter in letters):
         raise ConfigError("prior-shift scenarios need a zipf_s value")

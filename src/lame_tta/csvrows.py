@@ -1,5 +1,6 @@
-"""Rows of ``corrected.csv``: each float by its shortest ``repr``, computed
-for a whole array at a time.
+"""Lines of ``corrected.csv``: the header ``sample,prediction,p0,...``
+and the rows, each float by its shortest ``repr``, computed for a whole
+array at a time.
 
 A row is the sample index, the predicted class (the row's argmax) and the
 K corrected probabilities, written exactly as
@@ -286,6 +287,12 @@ def _int_cells(v: np.ndarray, sep: int) -> np.ndarray:
     out[:, width - 1] = v % 10 + 48  # the last digit, and "0" for zero
     out[:, width] = sep
     return out
+
+
+def write_header(fh, K: int) -> None:
+    """Write the header line of a ``corrected.csv`` with ``K`` classes to
+    the binary file ``fh``."""
+    fh.write(("sample,prediction," + ",".join(f"p{k}" for k in range(K)) + "\n").encode())
 
 
 def write_rows(fh, start: int, Z: np.ndarray) -> None:

@@ -12,20 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .affinity import KernelSpec, batch_affinity
-from .solver import SolverConfig, lame_correct
-from .streams import (
-    Batch,
-    ScenarioSpec,
-    SyntheticConfig,
-    generate_synthetic,
-    load_embeddings,
-    make_stream,
-)
+from .solver import lame_correct
+from .streams import Batch, ScenarioSpec, SyntheticConfig, load_source, make_stream
 from .toy import STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, blend_stats, toy_predict
 
 METHOD_KINDS = ("baseline", "lame", "entropy_min", "pseudo_label", "shot_im", "restandardize_only")
@@ -45,7 +38,6 @@ class MethodSpec:
     kind: str
     kernel: KernelSpec | None = None
     adapt: AdaptConfig | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
@@ -108,14 +100,8 @@ class Scenario:
     spec: ScenarioSpec
 
     def build(self, seed: int) -> tuple[list[Batch], tuple[ToyModel, RunningStats] | None]:
-        spec = replace(self.spec, seed=seed)
-        if isinstance(spec.source, SyntheticConfig):
-            data, model, stats = generate_synthetic(spec.source, seed)
-            source = (model, stats)
-        else:
-            data = load_embeddings(spec.source)
-            source = None
-        return make_stream(data, spec), source
+        data, source = load_source(self.spec.source, seed)
+        return make_stream(data, replace(self.spec, seed=seed)), source
 
 
 # Scenario-letter convention used in transfer matrices and reports:
@@ -152,9 +138,10 @@ def synthetic_family(
 
 
 def default_grid(kind: str) -> list[MethodSpec]:
-    """The declared hyperparameter grid for each method kind."""
+    """The declared hyperparameter grid for each method kind but the
+    baseline, which has none: :func:`grid_search` always runs it."""
     if kind == "baseline":
-        return [baseline_spec()]
+        raise ValueError("the baseline has no hyperparameter grid")
     if kind == "lame":
         return [MethodSpec("lame", kernel=KernelSpec("knn", k)) for k in (1, 3, 5)]
     if kind in NAM_KINDS:
@@ -243,7 +230,7 @@ def run_online(
             Q = np.asarray(batch.probs)
             timings["forward_emulation"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            Z, diag = lame_correct(Q, batch_affinity(method.kernel, X), method.solver)
+            Z, diag = lame_correct(Q, batch_affinity(method.kernel, X))
             solver_iterations += diag.iterations
             nonconverged += not diag.converged
             nonmonotone += not diag.monotone
@@ -340,7 +327,6 @@ class GridSearchResult:
     method_kind: str
     grid: list[MethodSpec]
     scenario_ids: list[str]
-    seeds: list[int]
     acc: np.ndarray            # (H, S) seed-mean accuracy
     baseline_acc: np.ndarray   # (S,)
     runs: list[RunResult]
@@ -373,38 +359,33 @@ def grid_search(
     broken by declaration order. Baseline runs are always included."""
     if not scenarios:
         raise ValueError("need at least one scenario")
+    if method_kind == "baseline":
+        raise ValueError("the baseline has no hyperparameter grid")
     grid = default_grid(method_kind) if grid is None else list(grid)
     if not grid:
         raise ValueError("empty hyperparameter grid")
     for spec in grid:
         if spec.kind != method_kind:
             raise ValueError(f"grid entry {spec.label()} is not of kind {method_kind}")
-    seeds = list(seeds)
-    specs = [baseline_spec()] + grid if method_kind != "baseline" else grid
-    runs = run_grid_jobs(scenarios, specs, seeds, workers)
+    runs = run_grid_jobs(scenarios, [baseline_spec()] + grid, seeds, workers)
 
     ids = [sc.scenario_id for sc in scenarios]
     by_key: dict[tuple[str, str], list[float]] = {}
     for r in runs:
         by_key.setdefault((r.method, r.scenario_id), []).append(r.overall_accuracy)
-    acc = np.array(
-        [[np.mean(by_key[(spec.label(), sid)]) for sid in ids] for spec in grid]
-    )
-    base_label = baseline_spec().label()
-    if method_kind == "baseline":
-        baseline = acc[0]
-    else:
-        baseline = np.array([np.mean(by_key[(base_label, sid)]) for sid in ids])
-    best = select_best(acc)
+
+    def seed_means(spec: MethodSpec) -> list[float]:
+        return [np.mean(by_key[(spec.label(), sid)]) for sid in ids]
+
+    acc = np.array([seed_means(spec) for spec in grid])
     return GridSearchResult(
         method_kind=method_kind,
         grid=grid,
         scenario_ids=ids,
-        seeds=seeds,
         acc=acc,
-        baseline_acc=baseline,
+        baseline_acc=np.array(seed_means(baseline_spec())),
         runs=runs,
-        best_index=best,
+        best_index=select_best(acc),
     )
 
 

@@ -17,7 +17,7 @@ first appearance order of their labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +63,18 @@ class ClassMapping:
         if self.target_labels and len(self.target_labels) != self.target_count:
             raise MappingError("target_labels length must equal target_count")
 
+    def over(self, class_count: int) -> "ClassMapping":
+        """This mapping over a dataset's ``class_count`` source classes:
+        source classes past the listed ones are unmapped, and a listed
+        class at or above ``class_count`` is an error."""
+        if self.source_count > class_count:
+            raise MappingError(
+                f"mapping covers {self.source_count} source classes but the "
+                f"dataset has {class_count}"
+            )
+        pad = (NULL_TARGET,) * (class_count - self.source_count)
+        return replace(self, source_count=class_count, assignment=self.assignment + pad)
+
     def groups(self) -> list[np.ndarray]:
         """Source indices per target class, in target order."""
         a = np.asarray(self.assignment)
@@ -78,12 +90,6 @@ def pool_average(q_source, m: ClassMapping) -> np.ndarray:
     """Mean of the source probabilities inside each target group, then
     renormalized. Mass on unmapped classes is dropped."""
     return pool_rows(np.asarray(q_source, dtype=float)[None], m, "average")[0]
-
-
-def pool_max(q_source, m: ClassMapping) -> np.ndarray:
-    """Max of the source probabilities inside each target group, then
-    renormalized. Mass on unmapped classes is dropped."""
-    return pool_rows(np.asarray(q_source, dtype=float)[None], m, "max")[0]
 
 
 def pool_rows(Q: np.ndarray, m: ClassMapping, how: str = "average") -> np.ndarray:
@@ -109,8 +115,9 @@ def pool_rows(Q: np.ndarray, m: ClassMapping, how: str = "average") -> np.ndarra
 def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:
     """Parse the tab-separated mapping format; errors carry line numbers.
 
-    ``source_count`` defaults to one past the largest listed source index;
-    unlisted source classes are unmapped.
+    The mapping covers the source classes up to the largest listed index;
+    with ``source_count``, it is widened to that many by
+    :meth:`ClassMapping.over`. Unlisted source classes are unmapped.
     """
     entries: list[tuple[int, str]] = []
     seen: set[int] = set()
@@ -136,17 +143,10 @@ def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:
         entries.append((y, label))
     if not entries:
         raise MappingError("mapping file defines no entries")
-    inferred = max(seen) + 1
-    if source_count is None:
-        source_count = inferred
-    elif inferred > source_count:
-        raise MappingError(
-            f"source index {max(seen)} exceeds declared source count {source_count}"
-        )
 
     # target indices follow the first appearance of each label in the file
     labels: list[str] = []
-    assignment = [NULL_TARGET] * source_count
+    assignment = [NULL_TARGET] * (max(seen) + 1)
     for y, label in entries:
         if label == NULL_LABEL:
             continue
@@ -155,7 +155,8 @@ def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:
         assignment[y] = labels.index(label)
     if not labels:
         raise MappingError("every source class is unmapped; no target classes defined")
-    return ClassMapping(source_count, len(labels), tuple(assignment), tuple(labels))
+    m = ClassMapping(len(assignment), len(labels), tuple(assignment), tuple(labels))
+    return m if source_count is None else m.over(source_count)
 
 
 def load_mapping(path, source_count: int | None = None) -> ClassMapping:

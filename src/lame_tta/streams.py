@@ -68,6 +68,7 @@ class Batch:
     features: np.ndarray          # (n, d)
     probs: np.ndarray             # (n, K) rows on the simplex
     labels: np.ndarray | None = None
+    rows: np.ndarray | None = None  # (n,) the samples' dataset rows
 
     def __post_init__(self):
         if self.features.shape[0] != self.probs.shape[0]:
@@ -218,6 +219,24 @@ def generate_toy2d(n: int, seed: int) -> tuple[Dataset, ToyModel, RunningStats]:
     return dataset, model, stats
 
 
+def load_source(
+    source: SyntheticConfig | str, seed: int
+) -> tuple[Dataset, tuple[ToyModel, RunningStats] | None]:
+    """The dataset a scenario's source names, plus the frozen source model
+    and its statistics for a synthetic source (None for a container)."""
+    if isinstance(source, SyntheticConfig):
+        data, model, stats = generate_synthetic(source, seed)
+        return data, (model, stats)
+    return load_embeddings(source), None
+
+
+def source_probs(logits: np.ndarray, mapping: ClassMapping | None) -> np.ndarray:
+    """Probability rows of source-model scores: the softmax, pooled through
+    the mapping when there is one."""
+    probs = softmax_rows(logits)
+    return probs if mapping is None else pool_rows(probs, mapping)
+
+
 def zipf_priors(K: int, s: float, seed=None) -> np.ndarray:
     """Class proportions p_k proportional to rank^(-s).
 
@@ -241,16 +260,25 @@ def _zipf_subsample(labels: np.ndarray, priors: np.ndarray, rng) -> np.ndarray:
     """Per-class subsample (without replacement) matching the priors.
 
     The total is the largest feasible count given per-class availability;
-    classes whose target count rounds to zero are dropped with a warning
-    and the priors renormalized over the survivors.
+    classes with no samples, and classes whose target count rounds to zero,
+    are dropped with a warning and the priors renormalized over the
+    survivors.
     """
     K = len(priors)
     avail = np.bincount(labels, minlength=K).astype(float)
     active = np.ones(K, dtype=bool)
-    p = priors.copy()
-    counts = np.zeros(K, dtype=int)
-    for _ in range(K):
-        pa = p * active
+    zeroed = avail == 0
+    while True:
+        if zeroed.any():
+            warnings.warn(
+                f"class(es) {np.flatnonzero(zeroed).tolist()} have no samples after "
+                "prior-shift subsampling; dropped and priors renormalized",
+                stacklevel=3,
+            )
+            active &= ~zeroed
+            if not active.any():
+                raise ValueError("prior shift removed every class")
+        pa = priors * active
         pa = pa / pa.sum()
         with np.errstate(divide="ignore"):
             feasible = np.where(active & (pa > 0), avail / np.where(pa > 0, pa, 1.0), np.inf)
@@ -259,15 +287,6 @@ def _zipf_subsample(labels: np.ndarray, priors: np.ndarray, rng) -> np.ndarray:
         zeroed = active & (counts == 0)
         if not zeroed.any():
             break
-        dropped = np.flatnonzero(zeroed)
-        warnings.warn(
-            f"class(es) {dropped.tolist()} have no samples after prior-shift "
-            "subsampling; dropped and priors renormalized",
-            stacklevel=3,
-        )
-        active &= ~zeroed
-        if not active.any():
-            raise ValueError("prior shift removed every class")
     keep = []
     for k in range(K):
         if counts[k] == 0:
@@ -299,20 +318,15 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
     class/task for non-i.i.d. streams), cuts consecutive batches (the
     final short batch is kept), and converts logits to probability rows
     via softmax, pooled through the mapping when present. Labeled samples
-    whose class is unmapped are dropped.
+    whose class is unmapped, or not listed in the mapping, are dropped.
     """
     ss = np.random.SeedSequence(spec.seed)
     seed_priors, seed_subsample, seed_order = ss.spawn(3)
 
     idx = np.arange(len(data))
     labels_for_grouping = data.labels
-    if spec.mapping is not None:
-        m = spec.mapping
-        if m.source_count != data.class_count:
-            raise ValueError(
-                f"mapping covers {m.source_count} source classes but the "
-                f"dataset has {data.class_count}"
-            )
+    m = None if spec.mapping is None else spec.mapping.over(data.class_count)
+    if m is not None:
         if data.labels is not None:
             labels_for_grouping = m.map_labels(data.labels)
             dropped = int((labels_for_grouping < 0).sum())
@@ -326,7 +340,7 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
     if spec.prior_shift is not None:
         if labels_for_grouping is None:
             raise ValueError("prior shift needs a labeled dataset")
-        K_eff = spec.mapping.target_count if spec.mapping is not None else data.class_count
+        K_eff = m.target_count if m is not None else data.class_count
         priors = zipf_priors(K_eff, spec.prior_shift, seed_priors)
         sub_rng = np.random.default_rng(seed_subsample)
         restricted = _zipf_subsample(labels_for_grouping[idx], priors, sub_rng)
@@ -335,9 +349,7 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
     group_key = data.task_ids if data.task_ids is not None else labels_for_grouping
     order = _ordered_indices(spec.sampling, group_key, idx, np.random.default_rng(seed_order))
 
-    probs = softmax_rows(data.logits[order])
-    if spec.mapping is not None:
-        probs = pool_rows(probs, spec.mapping)
+    probs = source_probs(data.logits[order], m)
     out_labels = labels_for_grouping[order] if labels_for_grouping is not None else None
 
     batches = []
@@ -348,6 +360,7 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
                 features=data.features[order[sl]],
                 probs=probs[sl],
                 labels=out_labels[sl] if out_labels is not None else None,
+                rows=order[sl],
             )
         )
     return batches

@@ -21,7 +21,7 @@ from lame_tta.harness import (
     run_online,
     synthetic_family,
 )
-from lame_tta.mapping import ClassMapping, pool_average, pool_max
+from lame_tta.mapping import ClassMapping, pool_average, pool_rows
 from lame_tta.solver import SolverConfig, cccp_step, lame_correct
 from lame_tta.streams import (
     Batch,
@@ -289,7 +289,7 @@ def test_criterion_10_mapping_pooling():
     m = ClassMapping(4, 2, (0, 0, 1, -1))
     q = [0.4, 0.2, 0.3, 0.1]
     avg = pool_average(q, m)
-    mx = pool_max(q, m)
+    mx = pool_rows(np.array(q)[None], m, "max")[0]
     err = max(
         abs(avg[0] - 0.5), abs(avg[1] - 0.5), abs(mx[0] - 4 / 7), abs(mx[1] - 3 / 7)
     )

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -9,8 +10,9 @@ import pytest
 
 from lame_tta import csvrows
 from lame_tta.affinity import KernelSpec
-from lame_tta.cli import main
+from lame_tta.cli import MANIFEST_EXCLUDED, build_parser, main
 from lame_tta.config import (
+    FAMILY_KEYS,
     ConfigError,
     family_from_kv,
     parse_kv,
@@ -20,7 +22,14 @@ from lame_tta.config import (
 from lame_tta.mapping import load_mapping, pool_rows
 from lame_tta.numerics import softmax_rows
 from lame_tta.solver import SolverConfig
-from lame_tta.streams import Dataset, SyntheticConfig, load_embeddings, save_embeddings
+from lame_tta.streams import (
+    Dataset,
+    SyntheticConfig,
+    generate_synthetic,
+    load_embeddings,
+    make_stream,
+    save_embeddings,
+)
 from oracles import reference_corrected_csv, reference_csv_rows
 
 SMALL_SOURCE = "synthetic:K=4,d=6,n_per_class=50,spread=0.3,rotation=0.4,noise=0.25"
@@ -95,6 +104,20 @@ def test_family_config_shares_scenario_key_checks():
         family_from_kv({"scenarios": "A"})
     with pytest.raises(ConfigError, match="zipf_s"):
         family_from_kv({"source": SMALL_SOURCE, "scenarios": "A,C", "zipf_s": "none"})
+
+
+@pytest.mark.parametrize("override", ["scenarios=A,D,A", "seeds=1,0,1"])
+def test_family_config_rejects_repeated_letters_and_seeds(tmp_path, capsys, override):
+    # a repeated letter or seed would run every one of its cells twice
+    key, value = override.split("=")
+    with pytest.raises(ConfigError, match="repeated"):
+        family_from_kv({"source": SMALL_SOURCE, key: value})
+    cfg = write(tmp_path / "family.cfg", f"source = {SMALL_SOURCE}\nbatch_size = 16\n")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--method", "lame", "--set", override,
+                 "--workers", "1", "--out", str(out)]) == 1
+    assert "repeated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_source_variants():
@@ -359,6 +382,46 @@ def test_simulate_writes_dataset_stream_manifest(tmp_path):
     assert manifest["seed"] == 3
 
 
+def test_simulate_stream_csv_rebuilds_every_batch(tmp_path):
+    # sample_index is the dataset row of each stream position, so the
+    # container and stream.csv alone give back each batch's samples
+    cfg = write(
+        tmp_path / "scenario.cfg",
+        f"source = {SMALL_SOURCE}\nsampling = non_iid\nzipf_s = 1.0\n"
+        "batch_size = 16\nseed = 3\n",
+    )
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    saved = load_embeddings(out / "dataset.lame.bin")
+    table = np.loadtxt(out / "stream.csv", delimiter=",", skiprows=1, dtype=np.int64)
+    spec = scenario_from_kv(json.loads((out / "manifest.json").read_text())["config"])
+    data, _, _ = generate_synthetic(spec.source, spec.seed)
+    stream = make_stream(data, spec)
+    assert np.array_equal(table[:, 0], np.repeat(np.arange(len(stream)), [len(b) for b in stream]))
+    for b, batch in enumerate(stream):
+        rows = table[table[:, 0] == b, 1]
+        assert np.array_equal(saved.features[rows], batch.features.astype(np.float32))
+        assert np.array_equal(saved.labels[rows], batch.labels)
+
+
+def test_simulate_mapping_leaves_trailing_classes_unmapped(tmp_path):
+    # a mapping that lists classes 0-3 of 8 leaves 4-7 unmapped, in a
+    # config as in `lame correct`
+    mapping = write(tmp_path / "map.tsv", "0\tA\n1\tA\n2\tB\n3\tB\n")
+    cfg = write(
+        tmp_path / "scenario.cfg",
+        "source = synthetic:K=8,d=6,n_per_class=20\nbatch_size = 16\n"
+        f"mapping = {mapping}\n",
+    )
+    out = tmp_path / "sim"
+    with pytest.warns(UserWarning, match="dropping 80 samples whose source class is unmapped"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_samples_stream"] == 80 and summary["class_count"] == 8
+    rows = np.loadtxt(out / "stream.csv", delimiter=",", skiprows=1, dtype=np.int64)[:, 1]
+    assert np.all(load_embeddings(out / "dataset.lame.bin").labels[rows] < 4)
+
+
 def test_simulate_override_and_seed_flag(tmp_path):
     cfg = write(
         tmp_path / "scenario.cfg",
@@ -395,6 +458,56 @@ def test_manifest_round_trip_reproduces_simulation(tmp_path):
     out2 = tmp_path / "r2"
     assert main(["simulate", "--config", str(cfg2), "--out", str(out2)]) == 0
     assert read_outputs(out1) == read_outputs(out2)
+
+
+def test_grid_manifest_round_trip_with_seed_flag(tmp_path):
+    # the manifest echoes the --seed that ran, not the config's seeds
+    cfg = write(
+        tmp_path / "family.cfg",
+        f"source = {SMALL_SOURCE}\nscenarios = A,D\nbatch_size = 16\nseeds = 0,1\n",
+    )
+    out1 = tmp_path / "g1"
+    assert main(["grid", "--config", str(cfg), "--method", "lame", "--seed", "4",
+                 "--workers", "1", "--out", str(out1)]) == 0
+    config = json.loads((out1 / "manifest.json").read_text())["config"]
+    cfg2 = write(
+        tmp_path / "from_manifest.cfg",
+        "".join(f"{k} = {config[k]}\n" for k in FAMILY_KEYS if k in config),
+    )
+    out2 = tmp_path / "g2"
+    assert main(["grid", "--config", str(cfg2), "--method", config["method"],
+                 "--workers", "1", "--out", str(out2)]) == 0
+    names = ("grid_results.csv", "grid_table.csv", "best.json")
+    assert [(out1 / n).read_bytes() for n in names] == [(out2 / n).read_bytes() for n in names]
+
+
+def test_manifest_echoes_every_parsed_argument(tmp_path):
+    # a new flag cannot drop out of the manifest: each destination of each
+    # subcommand is echoed or deliberately excluded
+    family = write(
+        tmp_path / "family.cfg",
+        f"source = {SMALL_SOURCE}\nscenarios = A\nbatch_size = 16\nseeds = 0\n",
+    )
+    scenario = write(tmp_path / "scenario.cfg", f"source = {SMALL_SOURCE}\nbatch_size = 16\n")
+    results = tmp_path / "grid" / "grid_results.csv"
+    runs = {
+        "correct": ["--input", str(make_embedding_file(tmp_path))],
+        "simulate": ["--config", str(scenario)],
+        "toy2d": ["--lrs", "0.1", "--seeds", "0", "--batches", "2", "--batch-size", "4"],
+        "grid": ["--config", str(family), "--method", "lame", "--workers", "1"],
+        "matrix": ["--grid-results", str(results)],
+        "sweep": ["--config", str(family), "--sizes", "8", "--workers", "1"],
+        "report": ["--results", str(results)],
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(runs)
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([name, *argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == name
+        dests = {a.dest for a in sub.choices[name]._actions if a.default is not argparse.SUPPRESS}
+        assert dests - MANIFEST_EXCLUDED <= set(manifest["config"]), name
 
 
 def test_toy2d_outputs(tmp_path):
@@ -537,7 +650,7 @@ def test_grid_and_sweep_cell_errors_exit_with_their_code(
 ):
     # a cell's I/O error exits 2 and its validation error 1, as in every
     # other subcommand, with the cell named and no traceback
-    mapping = write(tmp_path / "map.tsv", "0\tA\n1\tB\n")  # 2 of the 8 classes
+    mapping = write(tmp_path / "map.tsv", "0\tA\n9\tB\n")  # lists class 9 of K=8
     source, extra, code, message = {
         "missing_source": (tmp_path / "missing.bin", "", 2, "i/o error: "),
         "partial_mapping": ("synthetic:K=8,d=6,n_per_class=20", f"mapping = {mapping}\n",
@@ -553,7 +666,7 @@ def test_grid_and_sweep_cell_errors_exit_with_their_code(
                  "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith(message + "grid cell failed: scenario=A seed=0 (building the stream)")
-    assert ("missing.bin" if code == 2 else "mapping covers 2 source classes") in err
+    assert ("missing.bin" if code == 2 else "mapping covers 10 source classes") in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -569,10 +682,10 @@ def test_sweep_seed_flag_replaces_the_config_seeds(tmp_path):
         outs[name] = tmp_path / name
         assert main(["sweep", "--config", str(cfg), "--sizes", "4,16", "--workers", "1",
                      "--out", str(outs[name]), *extra]) == 0
-    flag = read_outputs(outs["flag"], exclude=("timings.json", "manifest.json"))
-    assert flag == read_outputs(outs["set"], exclude=("timings.json", "manifest.json"))
+    flag = read_outputs(outs["flag"])
+    assert flag == read_outputs(outs["set"])  # the manifests too
     assert flag["sweep.csv"] != (outs["config"] / "sweep.csv").read_bytes()
-    assert json.loads((outs["flag"] / "manifest.json").read_text())["seed"] == [7]
+    assert json.loads(flag["manifest.json"])["seed"] == [7]
 
 
 RESULTS_HEADER = (

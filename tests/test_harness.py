@@ -21,7 +21,7 @@ from lame_tta.harness import (
     run_online,
     synthetic_family,
 )
-from lame_tta.solver import SolverConfig
+from lame_tta.solver import SolverConfig, lame_correct
 from lame_tta.streams import Dataset, ScenarioSpec, SyntheticConfig, save_embeddings
 from lame_tta.toy import PARTITIONS, AdaptConfig
 from oracles import reference_adapted_run
@@ -77,13 +77,16 @@ def test_run_online_deterministic_modulo_timings():
         assert np.array_equal(p1, p2)
 
 
-def test_run_online_counts_solver_health():
+def test_run_online_counts_solver_health(monkeypatch):
     stream, source = scenario("A").build(2)
-    capped = MethodSpec("lame", kernel=KernelSpec("knn", 5), solver=SolverConfig(max_iter=1))
-    res = run_online(stream, capped, 2, "A", source)
+    lame = MethodSpec("lame", kernel=KernelSpec("knn", 5))
+    with monkeypatch.context() as m:
+        m.setattr(harness, "lame_correct",
+                  lambda Q, W: lame_correct(Q, W, SolverConfig(max_iter=1)))
+        res = run_online(stream, lame, 2, "A", source)
     assert res.nonconverged_batches == res.n_batches
     assert res.solver_iterations == res.n_batches
-    res = run_online(stream, MethodSpec("lame", kernel=KernelSpec("knn", 5)), 2, "A", source)
+    res = run_online(stream, lame, 2, "A", source)
     assert res.nonconverged_batches == 0 and res.solver_iterations > res.n_batches
     base = run_online(stream, baseline_spec(), 2, "A", source)
     assert (base.solver_iterations, base.nonconverged_batches, base.nonmonotone_batches) == (0, 0, 0)
@@ -334,6 +337,11 @@ def test_default_grids_match_declared_sizes():
     assert len(default_grid("restandardize_only")) == 2
     with pytest.raises(ValueError):
         default_grid("unknown")
+    # grid_search always runs the baseline, so it is never a grid of its own
+    with pytest.raises(ValueError, match="baseline has no hyperparameter grid"):
+        default_grid("baseline")
+    with pytest.raises(ValueError, match="baseline has no hyperparameter grid"):
+        grid_search([scenario("A")], "baseline", [baseline_spec()])
 
 
 def test_method_spec_validation():

@@ -10,12 +10,15 @@ from lame_tta.mapping import (
     MappingError,
     parse_mapping,
     pool_average,
-    pool_max,
     pool_rows,
 )
 from oracles import is_simplex
 
 FOUR_TO_TWO = ClassMapping(4, 2, (0, 0, 1, -1))  # {1,2 -> A; 3 -> B; 4 -> null}
+
+
+def max_pool(q, m):
+    return pool_rows(np.asarray(q, dtype=float)[None], m, "max")[0]
 
 
 def test_average_pool_hand_example():
@@ -24,7 +27,7 @@ def test_average_pool_hand_example():
 
 
 def test_max_pool_hand_example():
-    out = pool_max([0.4, 0.2, 0.3, 0.1], FOUR_TO_TWO)
+    out = max_pool([0.4, 0.2, 0.3, 0.1], FOUR_TO_TWO)
     assert np.allclose(out, [4 / 7, 3 / 7], atol=1e-12)
 
 
@@ -33,19 +36,19 @@ def test_bijective_mapping_is_exact_relabeling():
     q = np.array([0.5, 0.25, 0.25])
     relabeled = np.array([0.25, 0.25, 0.5])
     assert np.array_equal(pool_average(q, m), relabeled)
-    assert np.array_equal(pool_max(q, m), relabeled)
+    assert np.array_equal(max_pool(q, m), relabeled)
 
 
 def test_identity_mapping_is_identity():
     q = np.array([0.5, 0.25, 0.25])
     m = ClassMapping(3, 3, (0, 1, 2))
     assert np.array_equal(pool_average(q, m), q)
-    assert np.array_equal(pool_max(q, m), q)
+    assert np.array_equal(max_pool(q, m), q)
 
 
 def test_one_hot_max_pool():
     q = np.array([0.0, 1.0, 0.0, 0.0])
-    out = pool_max(q, FOUR_TO_TWO)
+    out = max_pool(q, FOUR_TO_TWO)
     assert np.array_equal(out, [1.0, 0.0])
 
 
@@ -60,7 +63,7 @@ def test_all_mass_on_null_classes_errors():
     with pytest.raises(MappingError):
         pool_average(q, FOUR_TO_TWO)
     with pytest.raises(MappingError):
-        pool_max(q, FOUR_TO_TWO)
+        max_pool(q, FOUR_TO_TWO)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(2, 6))
@@ -75,7 +78,7 @@ def test_pooled_outputs_are_simplex(seed, Y, Z):
     m = ClassMapping(Y, Z, tuple(assignment))
     q = rng.dirichlet(np.ones(Y))
     assert is_simplex(pool_average(q, m))
-    assert is_simplex(pool_max(q, m))
+    assert is_simplex(max_pool(q, m))
 
 
 def test_pool_average_commutes_with_in_group_permutation():
@@ -175,6 +178,16 @@ def test_parse_mapping_all_null_rejected():
 def test_parse_mapping_source_count_enforced():
     with pytest.raises(MappingError):
         parse_mapping("5\tA\n", source_count=3)
+
+
+def test_mapping_over_a_class_count_leaves_trailing_classes_unmapped():
+    m = parse_mapping("0\tA\n1\tB\n2\tA\n")
+    wide = m.over(5)
+    assert wide.assignment == (0, 1, 0, -1, -1) and wide.target_labels == ("A", "B")
+    assert wide == parse_mapping("0\tA\n1\tB\n2\tA\n", source_count=5)
+    assert m.over(3) == m
+    with pytest.raises(MappingError, match="mapping covers 3 source classes but the dataset has 2"):
+        m.over(2)
 
 
 def test_class_mapping_validation():

@@ -195,6 +195,23 @@ def test_make_stream_zipf_counts_match_priors():
     assert np.all(np.abs(counts - priors * total) <= 1.0)
 
 
+def test_make_stream_prior_shift_drops_a_class_with_no_samples():
+    # labels 0-4 without class 2: the absent class is dropped with the
+    # same warning as a class whose share rounds to zero, and the other
+    # four keep their renormalized Zipf proportions
+    labels = np.repeat([0, 1, 3, 4], 100)
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.standard_normal((400, 2)), rng.standard_normal((400, 5)), labels, 5)
+    spec = ScenarioSpec(source="x", sampling="iid", prior_shift=1.0, batch_size=32, seed=0)
+    with pytest.warns(UserWarning, match=r"class\(es\) \[2\] have no samples"):
+        stream = make_stream(data, spec)
+    counts = np.bincount(np.concatenate([b.labels for b in stream]), minlength=5)
+    kept = [0, 1, 3, 4]
+    assert counts[2] == 0 and np.all(counts[kept] > 0) and counts.max() == 100
+    priors = zipf_priors(5, 1.0, np.random.SeedSequence(0).spawn(3)[0])[kept]
+    assert np.all(np.abs(counts[kept] - priors / priors.sum() * counts.sum()) <= 1.0)
+
+
 def test_make_stream_probs_are_softmax_rows():
     data = make_dataset()
     spec = ScenarioSpec(source="x", sampling="iid", batch_size=10, seed=3)
