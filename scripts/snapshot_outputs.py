@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Byte-identity snapshot: every `lame` subcommand on small inputs.
+
+Writes a labeled container with task ids, a superclass mapping, and
+scenario and family configs under --out, then runs each subcommand
+in-process from inside that directory with relative paths, one output
+directory per run, and records every run's exit code in
+`exit_codes.txt`. Two snapshots of code with the same outputs then
+compare clean with
+
+    diff -r -x timings.json A B
+
+The package comes from the import path, so the same script snapshots
+another checkout:
+
+    PYTHONPATH=<checkout>/src python scripts/snapshot_outputs.py --out A
+"""
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from lame_tta.cli import main as lame_main
+from lame_tta.streams import Dataset, save_embeddings
+
+SOURCE = "synthetic:K=4,d=6,n_per_class=30,spread=0.3,rotation=0.4,noise=0.25"
+INPUTS = {
+    # class 5 is unmapped: its samples leave the mapped stream
+    "mapping.tsv": "0\ta\n1\ta\n2\tb\n3\tb\n4\tc\n5\t__null__\n",
+    "scenario_mapped.cfg": (
+        "source = data.lame.bin\nsampling = iid\nzipf_s = 1.0\nbatch_size = 16\n"
+        "seed = 1\nmapping = mapping.tsv\n"
+    ),
+    "scenario_tasks.cfg": "source = data.lame.bin\nsampling = non_iid\nbatch_size = 12\nseed = 2\n",
+    "scenario_synthetic.cfg": (
+        f"source = {SOURCE}\nsampling = non_iid\nzipf_s = 1.0\nbatch_size = 16\nseed = 0\n"
+    ),
+    # scenarios out of sorted order: `matrix` sorts them, `grid` does not
+    "family.cfg": f"source = {SOURCE}\nscenarios = D,A\nzipf_s = 1.0\nbatch_size = 16\nseeds = 0,1\n",
+}
+GRID_KINDS = ("lame", "entropy_min", "pseudo_label", "shot_im", "restandardize_only")
+TOY2D = ("toy2d", "--batches", "8", "--batch-size", "8")
+RUNS = [
+    ("simulate_mapped", ["simulate", "--config", "scenario_mapped.cfg"]),
+    ("simulate_tasks", ["simulate", "--config", "scenario_tasks.cfg"]),
+    ("simulate_seed", ["simulate", "--config", "scenario_synthetic.cfg", "--seed", "5"]),
+    *(
+        (f"correct_{kernel}",
+         ["correct", "--input", "data.lame.bin", "--kernel", kernel, "--k", "3",
+          "--batch-size", "32"])
+        for kernel in ("knn", "linear", "rbf")
+    ),
+    ("correct_mapped",
+     ["correct", "--input", "data.lame.bin", "--mapping", "mapping.tsv", "--batch-size", "40"]),
+    ("toy2d", [*TOY2D, "--lrs", "0.01,0.1", "--seeds", "0,1"]),
+    ("sweep", ["sweep", "--config", "family.cfg", "--sizes", "1,8,16", "--workers", "2"]),
+    *(
+        (f"grid_{kind}", ["grid", "--config", "family.cfg", "--method", kind, "--workers", "2"])
+        for kind in GRID_KINDS
+    ),
+    ("matrix_lame", ["matrix", "--grid-results", "grid_lame/grid_results.csv"]),
+    ("matrix_entropy_min", ["matrix", "--grid-results", "grid_entropy_min/grid_results.csv"]),
+    ("report", ["report", "--results", "grid_entropy_min/grid_results.csv"]),
+    # a repeated list value is an error, not a cell run twice
+    ("sweep_repeated_size",
+     ["sweep", "--config", "family.cfg", "--sizes", "8,8,16", "--workers", "1"]),
+    ("toy2d_repeated_seed", [*TOY2D, "--lrs", "0.1", "--seeds", "0,1,1"]),
+]
+
+
+def write_inputs() -> None:
+    rng = np.random.default_rng(0)
+    N, K, d = 120, 6, 5
+    labels = np.arange(N) % K
+    data = Dataset(
+        features=rng.standard_normal((N, d)) + labels[:, None],
+        logits=rng.standard_normal((N, K)) + 2.0 * np.eye(K)[labels],
+        labels=labels,
+        class_count=K,
+        task_ids=rng.integers(0, 4, N),
+    )
+    save_embeddings(data, "data.lame.bin")
+    for name, text in INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="a new or empty directory")
+    out = Path(ap.parse_args().out)
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"snapshot: {out} is not empty", file=sys.stderr)
+        return 1
+    os.chdir(out)
+    write_inputs()
+    codes = [f"{name} {lame_main([*argv, '--out', name])}\n" for name, argv in RUNS]
+    Path("exit_codes.txt").write_text("".join(codes), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

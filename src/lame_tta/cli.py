@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, csvrows
 from .affinity import KERNEL_KINDS, KernelSpec, batch_affinity
-from .config import ConfigError, family_from_kv, read_config, scenario_from_kv
+from .config import ConfigError, family_from_kv, parse_list, read_config, scenario_from_kv
 from .harness import (
     METHOD_KINDS,
     MethodSpec,
@@ -48,6 +48,7 @@ from .streams import (
     make_stream,
     save_embeddings,
     source_probs,
+    stream_order,
 )
 from .toy import collapse_demo
 
@@ -153,19 +154,20 @@ def cmd_simulate(args) -> None:
     kv = _read_config(args, "seed")
     spec = scenario_from_kv(kv)
     data, _ = load_source(spec.source, spec.seed)
-    stream = make_stream(data, spec)
+    order = stream_order(data, spec).tolist()
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(data, out / "dataset.lame.bin")
 
-    counts = [len(batch) for batch in stream]
-    rows = ((b, row) for b, batch in enumerate(stream) for row in batch.rows.tolist())
+    size = spec.batch_size
+    counts = [min(size, len(order) - start) for start in range(0, len(order), size)]
+    rows = ((i // size, row) for i, row in enumerate(order))
     _write_text(out / "stream.csv", csv_text(("batch_index", "sample_index"), rows))
     _write_json(
         out / "summary.json",
         {
             "n_samples_dataset": len(data),
-            "n_samples_stream": int(sum(counts)),
-            "n_batches": len(stream),
+            "n_samples_stream": len(order),
+            "n_batches": len(counts),
             "batch_sizes": counts,
             "class_count": data.class_count,
         },
@@ -175,51 +177,38 @@ def cmd_simulate(args) -> None:
 
 def cmd_toy2d(args) -> None:
     out = Path(args.out)
-    lrs = [float(s) for s in args.lrs.split(",") if s.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not lrs or not seeds:
-        raise ConfigError("toy2d needs non-empty --lrs and --seeds lists")
+    lrs = parse_list(args.lrs, float, "--lrs")
+    seeds = parse_list(args.seeds, int, "--seeds")
     n = args.batches * args.batch_size
 
-    per_lr_entropy: dict[float, list[np.ndarray]] = {lr: [] for lr in lrs}
-    per_lr_acc: dict[float, list[np.ndarray]] = {lr: [] for lr in lrs}
-    baseline_acc: list[np.ndarray] = []
+    # per seed, {lr: (entropy series, accuracy series)}; lr 0 is the baseline
+    runs = []
     for seed in seeds:
         data, model, stats = generate_toy2d(n, seed)
         spec = ScenarioSpec(
             source="toy2d", sampling="non_iid", prior_shift=None,
             batch_size=args.batch_size, seed=seed,
         )
-        stream = make_stream(data, spec)
-        series = collapse_demo(lrs + [0.0], stream, model, stats)
-        for lr in lrs:
-            ent, acc = series[lr]
-            per_lr_entropy[lr].append(ent)
-            per_lr_acc[lr].append(acc)
-        baseline_acc.append(series[0.0][1])
+        runs.append(collapse_demo(lrs + [0.0], make_stream(data, spec), model, stats))
 
     steps = np.arange(1, args.batches + 1)
+
+    def write_seed_mean(name: str, lr: float, series: int) -> None:
+        mean = np.mean([run[lr][series] for run in runs], axis=0)
+        _write_text(out / f"toy2d_{name}.csv", csv_text(XY, zip(steps, mean)))
+
     for lr in lrs:
-        ent = np.mean(per_lr_entropy[lr], axis=0)
-        acc = np.mean(per_lr_acc[lr], axis=0)
-        _write_text(out / f"toy2d_entropy_lr{lr:g}.csv", csv_text(XY, zip(steps, ent)))
-        _write_text(out / f"toy2d_accuracy_lr{lr:g}.csv", csv_text(XY, zip(steps, acc)))
-    _write_text(
-        out / "toy2d_accuracy_baseline.csv",
-        csv_text(XY, zip(steps, np.mean(baseline_acc, axis=0))),
-    )
+        write_seed_mean(f"entropy_lr{lr:g}", lr, 0)
+        write_seed_mean(f"accuracy_lr{lr:g}", lr, 1)
+    write_seed_mean("accuracy_baseline", 0.0, 1)
     _write_manifest(args, seeds[0])
-
-
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be positive, got {args.workers}")
 
 
 def _family(args) -> tuple[dict[str, str], list[Scenario], list[int]]:
     """The resolved family config, its scenarios and its seeds (``--seed``
     replaces the list)."""
-    _check_workers(args)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be positive, got {args.workers}")
     kv = _read_config(args, "seeds")
     return kv, *family_from_kv(kv)
 
@@ -276,7 +265,7 @@ def cmd_matrix(args) -> None:
 def cmd_sweep(args) -> None:
     out = Path(args.out)
     kv, scenarios, seeds = _family(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = parse_list(args.sizes, int, "--sizes")
     method = MethodSpec("lame", kernel=KernelSpec("knn", args.k))
     points = batch_size_sweep(scenarios, method, sizes, seeds, workers=args.workers)
     _write_text(

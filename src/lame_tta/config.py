@@ -59,6 +59,22 @@ def apply_overrides(kv: dict[str, str], overrides: list[str]) -> dict[str, str]:
     return merged
 
 
+def parse_list(text: str, cast, name: str) -> list:
+    """The comma list ``text``, blank items dropped and each item cast; a
+    bad item, an empty list or a repeated value is an error naming the
+    list (a repeated value would run each of its cells twice)."""
+    try:
+        values = [cast(item.strip()) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise ConfigError(f"bad {name} list {text!r}") from None
+    if not values:
+        raise ConfigError(f"{name} list is empty")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"repeated {name} value(s) {repeated}: each would run twice")
+    return values
+
+
 def parse_source(value: str) -> SyntheticConfig | str:
     if not value:
         raise ConfigError("source must not be empty")
@@ -126,19 +142,8 @@ def family_from_kv(kv: dict[str, str]) -> tuple[list[Scenario], list[int]]:
     of ``scenarios`` (A = i.i.d., B = non-i.i.d., C = i.i.d. + prior shift,
     D = non-i.i.d. + prior shift), all sharing one source."""
     source, mapping = _source_and_mapping(kv, FAMILY_KEYS, "family")
-    letters = tuple(
-        s.strip().upper() for s in kv.get("scenarios", "A,B,C,D").split(",") if s.strip()
-    )
-    try:
-        seeds = [int(s) for s in kv.get("seeds", "0").split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"bad seeds list {kv.get('seeds')!r}") from None
-    if not seeds:
-        raise ConfigError("seeds list is empty")
-    for name, values in (("scenario letter", letters), ("seed", seeds)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            raise ConfigError(f"repeated {name}(s) {repeated}: each would run twice")
+    letters = parse_list(kv.get("scenarios", "A,B,C,D"), str.upper, "scenarios")
+    seeds = parse_list(kv.get("seeds", "0"), int, "seeds")
     zipf = _parse_zipf(kv.get("zipf_s", "1.0"))
     if zipf is None and any(letter in ("C", "D") for letter in letters):
         raise ConfigError("prior-shift scenarios need a zipf_s value")
@@ -146,7 +151,7 @@ def family_from_kv(kv: dict[str, str]) -> tuple[list[Scenario], list[int]]:
         source,
         batch_size=int(kv.get("batch_size", "32")),
         zipf_s=zipf,
-        letters=letters,
+        letters=tuple(letters),
         mapping=mapping,
     )
     return scenarios, seeds

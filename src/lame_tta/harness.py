@@ -347,6 +347,16 @@ def select_best(acc_table: np.ndarray) -> int:
     return int(np.argmax(np.asarray(acc_table).mean(axis=1)))
 
 
+def seed_means(records) -> dict[tuple[str, str], float]:
+    """Mean accuracy over seeds of each (method, scenario), from
+    ``(method, scenario, accuracy)`` records; keys in first-appearance
+    order."""
+    groups: dict[tuple[str, str], list[float]] = {}
+    for method, scenario, accuracy in records:
+        groups.setdefault((method, scenario), []).append(accuracy)
+    return {key: np.mean(values) for key, values in groups.items()}
+
+
 def grid_search(
     scenarios: list[Scenario],
     method_kind: str,
@@ -370,20 +380,14 @@ def grid_search(
     runs = run_grid_jobs(scenarios, [baseline_spec()] + grid, seeds, workers)
 
     ids = [sc.scenario_id for sc in scenarios]
-    by_key: dict[tuple[str, str], list[float]] = {}
-    for r in runs:
-        by_key.setdefault((r.method, r.scenario_id), []).append(r.overall_accuracy)
-
-    def seed_means(spec: MethodSpec) -> list[float]:
-        return [np.mean(by_key[(spec.label(), sid)]) for sid in ids]
-
-    acc = np.array([seed_means(spec) for spec in grid])
+    means = seed_means((r.method, r.scenario_id, r.overall_accuracy) for r in runs)
+    acc = np.array([[means[(spec.label(), sid)] for sid in ids] for spec in grid])
     return GridSearchResult(
         method_kind=method_kind,
         grid=grid,
         scenario_ids=ids,
         acc=acc,
-        baseline_acc=np.array(seed_means(baseline_spec())),
+        baseline_acc=np.array([means[(baseline_spec().label(), sid)] for sid in ids]),
         runs=runs,
         best_index=select_best(acc),
     )
@@ -556,31 +560,23 @@ def rows_from_csv(text: str) -> list[dict]:
 def matrix_from_rows(rows: list[dict]) -> CrossShiftMatrix:
     """Rebuild the transfer matrix from a grid-results CSV (which must
     contain baseline rows). Hyperparameter order follows first appearance."""
-    scenario_ids = sorted({row["scenario"] for row in rows})
-    methods: list[str] = []
-    acc_cells: dict[tuple[str, str], list[float]] = {}
-    base_cells: dict[str, list[float]] = {}
-    for row in rows:
-        label = row["method"]
-        accuracy = float(row["accuracy"])
-        if row["kind"] == "baseline":
-            base_cells.setdefault(row["scenario"], []).append(accuracy)
-            continue
-        if label not in methods:
-            methods.append(label)
-        acc_cells.setdefault((label, row["scenario"]), []).append(accuracy)
+    means = seed_means(
+        ("baseline" if row["kind"] == "baseline" else row["method"], row["scenario"],
+         float(row["accuracy"]))
+        for row in rows
+    )
+    scenario_ids = sorted({sid for _, sid in means})
+    methods = list(dict.fromkeys(label for label, _ in means if label != "baseline"))
     if not methods:
         raise ValueError("no non-baseline rows in the results CSV")
-    if set(base_cells) != set(scenario_ids):
+    if any(("baseline", sid) not in means for sid in scenario_ids):
         raise ValueError("results CSV lacks baseline rows for every scenario")
     for label in methods:
         for sid in scenario_ids:
-            if (label, sid) not in acc_cells:
+            if (label, sid) not in means:
                 raise ValueError(f"incomplete table: no rows for {label} on scenario {sid}")
-    acc = np.array(
-        [[np.mean(acc_cells[(label, sid)]) for sid in scenario_ids] for label in methods]
-    )
-    baseline = np.array([np.mean(base_cells[sid]) for sid in scenario_ids])
+    acc = np.array([[means[(label, sid)] for sid in scenario_ids] for label in methods])
+    baseline = np.array([means[("baseline", sid)] for sid in scenario_ids])
     return cross_shift_matrix(acc, baseline, scenario_ids)
 
 

@@ -1,10 +1,10 @@
 """Evaluation streams: synthetic datasets, prior shifts, batch orderings,
 and the binary embedding container.
 
-A Dataset holds precomputed features and source-model scores; make_stream
-turns one into an ordered list of batches according to a ScenarioSpec
-(i.i.d. or class/task-grouped ordering, optional Zipf class imbalance,
-optional pooling through a superclass mapping).
+A Dataset holds precomputed features and source-model scores; stream_order
+picks and orders its rows according to a ScenarioSpec (i.i.d. or
+class/task-grouped ordering, optional Zipf class imbalance, optional
+superclass mapping), and make_stream cuts that order into batches.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class Batch:
     features: np.ndarray          # (n, d)
     probs: np.ndarray             # (n, K) rows on the simplex
     labels: np.ndarray | None = None
-    rows: np.ndarray | None = None  # (n,) the samples' dataset rows
 
     def __post_init__(self):
         if self.features.shape[0] != self.probs.shape[0]:
@@ -273,7 +272,7 @@ def _zipf_subsample(labels: np.ndarray, priors: np.ndarray, rng) -> np.ndarray:
             warnings.warn(
                 f"class(es) {np.flatnonzero(zeroed).tolist()} have no samples after "
                 "prior-shift subsampling; dropped and priors renormalized",
-                stacklevel=3,
+                stacklevel=4,
             )
             active &= ~zeroed
             if not active.any():
@@ -310,48 +309,57 @@ def _ordered_indices(
     return np.concatenate([groups[o] for o in order])
 
 
-def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
-    """Assemble the ordered batch stream a scenario describes.
+def _mapped_labels(
+    data: Dataset, spec: ScenarioSpec
+) -> tuple[ClassMapping | None, np.ndarray | None]:
+    """The scenario's mapping over the dataset's classes, and the labels
+    through it (-1 for an unmapped class)."""
+    m = None if spec.mapping is None else spec.mapping.over(data.class_count)
+    return m, data.labels if m is None or data.labels is None else m.map_labels(data.labels)
 
-    Subsamples per class to Zipf proportions when a prior shift is
-    configured, orders samples (seeded global shuffle, or grouped by
-    class/task for non-i.i.d. streams), cuts consecutive batches (the
-    final short batch is kept), and converts logits to probability rows
-    via softmax, pooled through the mapping when present. Labeled samples
-    whose class is unmapped, or not listed in the mapping, are dropped.
+
+def stream_order(data: Dataset, spec: ScenarioSpec) -> np.ndarray:
+    """The dataset rows of the stream a scenario describes, in order.
+
+    Drops labeled samples whose class the mapping leaves unmapped,
+    subsamples per class to Zipf proportions when a prior shift is
+    configured, and orders what is left (seeded global shuffle, or grouped
+    by task, else by class, for non-i.i.d. streams).
     """
     ss = np.random.SeedSequence(spec.seed)
     seed_priors, seed_subsample, seed_order = ss.spawn(3)
 
     idx = np.arange(len(data))
-    labels_for_grouping = data.labels
-    m = None if spec.mapping is None else spec.mapping.over(data.class_count)
-    if m is not None:
-        if data.labels is not None:
-            labels_for_grouping = m.map_labels(data.labels)
-            dropped = int((labels_for_grouping < 0).sum())
-            if dropped:
-                warnings.warn(
-                    f"dropping {dropped} samples whose source class is unmapped",
-                    stacklevel=2,
-                )
-            idx = idx[labels_for_grouping[idx] >= 0]
+    m, labels = _mapped_labels(data, spec)
+    if m is not None and labels is not None:
+        dropped = int((labels < 0).sum())
+        if dropped:
+            warnings.warn(
+                f"dropping {dropped} samples whose source class is unmapped",
+                stacklevel=3,
+            )
+        idx = idx[labels[idx] >= 0]
 
     if spec.prior_shift is not None:
-        if labels_for_grouping is None:
+        if labels is None:
             raise ValueError("prior shift needs a labeled dataset")
         K_eff = m.target_count if m is not None else data.class_count
         priors = zipf_priors(K_eff, spec.prior_shift, seed_priors)
-        sub_rng = np.random.default_rng(seed_subsample)
-        restricted = _zipf_subsample(labels_for_grouping[idx], priors, sub_rng)
-        idx = idx[restricted]
+        idx = idx[_zipf_subsample(labels[idx], priors, np.random.default_rng(seed_subsample))]
 
-    group_key = data.task_ids if data.task_ids is not None else labels_for_grouping
-    order = _ordered_indices(spec.sampling, group_key, idx, np.random.default_rng(seed_order))
+    group_key = data.task_ids if data.task_ids is not None else labels
+    return _ordered_indices(spec.sampling, group_key, idx, np.random.default_rng(seed_order))
 
+
+def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
+    """Cut the :func:`stream_order` into consecutive batches of
+    ``batch_size`` (the final short batch is kept), with the source
+    probabilities (softmax, pooled through the mapping when present) and
+    the labels (through the mapping) of its rows."""
+    order = stream_order(data, spec)
+    m, labels = _mapped_labels(data, spec)
     probs = source_probs(data.logits[order], m)
-    out_labels = labels_for_grouping[order] if labels_for_grouping is not None else None
-
+    out_labels = labels[order] if labels is not None else None
     batches = []
     for start in range(0, len(order), spec.batch_size):
         sl = slice(start, start + spec.batch_size)
@@ -360,7 +368,6 @@ def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
                 features=data.features[order[sl]],
                 probs=probs[sl],
                 labels=out_labels[sl] if out_labels is not None else None,
-                rows=order[sl],
             )
         )
     return batches

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lame_tta import csvrows
+from lame_tta import csvrows, streams
 from lame_tta.affinity import KernelSpec
 from lame_tta.cli import MANIFEST_EXCLUDED, build_parser, main
 from lame_tta.config import (
@@ -16,6 +16,7 @@ from lame_tta.config import (
     ConfigError,
     family_from_kv,
     parse_kv,
+    parse_list,
     parse_source,
     scenario_from_kv,
 )
@@ -118,6 +119,18 @@ def test_family_config_rejects_repeated_letters_and_seeds(tmp_path, capsys, over
                  "--workers", "1", "--out", str(out)]) == 1
     assert "repeated" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parse_list_is_one_rule_for_every_comma_list():
+    assert parse_list(" 3, ,1 ,", int, "xs") == [3, 1]
+    assert parse_list("d,a", str.upper, "scenarios") == ["D", "A"]
+    for text, match in (
+        ("1,x", "bad xs list '1,x'"),
+        (" , ", "xs list is empty"),
+        ("1,2,1", r"repeated xs value\(s\) \[1\]: each would run twice"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            parse_list(text, int, "xs")
 
 
 def test_parse_source_variants():
@@ -404,6 +417,22 @@ def test_simulate_stream_csv_rebuilds_every_batch(tmp_path):
         assert np.array_equal(saved.labels[rows], batch.labels)
 
 
+def test_simulate_builds_no_probabilities(tmp_path, monkeypatch):
+    # stream.csv and summary.json come from the stream order alone, so a
+    # mapped stream is written without any softmax or pooling
+    def refuse(logits, mapping):
+        raise ValueError("simulate built source probabilities")
+
+    monkeypatch.setattr(streams, "source_probs", refuse)
+    mapping = write(tmp_path / "map.tsv", "0\tA\n1\tA\n2\tB\n3\tB\n")
+    cfg = write(
+        tmp_path / "scenario.cfg",
+        f"source = {SMALL_SOURCE}\nsampling = non_iid\nzipf_s = 1.0\n"
+        f"batch_size = 16\nmapping = {mapping}\n",
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+
+
 def test_simulate_mapping_leaves_trailing_classes_unmapped(tmp_path):
     # a mapping that lists classes 0-3 of 8 leaves 4-7 unmapped, in a
     # config as in `lame correct`
@@ -532,6 +561,28 @@ def test_toy2d_outputs(tmp_path):
     for path in out.glob("toy2d_*.csv"):
         for line in path.read_text().strip().splitlines()[1:]:
             float(line.split(",")[1])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--sizes", "8,8"], r"repeated --sizes value(s) [8]"),
+        (["sweep", "--sizes", ","], "--sizes list is empty"),
+        (["toy2d", "--seeds", "0,1,1"], r"repeated --seeds value(s) [1]"),
+        (["toy2d", "--seeds", "0", "--lrs", "0.1,0.1"], r"repeated --lrs value(s) [0.1]"),
+    ],
+)
+def test_repeated_or_empty_list_values_exit_1(tmp_path, capsys, argv, message):
+    # a repeated size, seed or learning rate would run (or average) twice
+    if argv[0] == "sweep":
+        cfg = write(tmp_path / "family.cfg", f"source = {SMALL_SOURCE}\nbatch_size = 16\n")
+        argv = [*argv, "--config", str(cfg), "--workers", "1"]
+    else:
+        argv = [*argv, "--batches", "4", "--batch-size", "8"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_matrix_sweep_report_pipeline(tmp_path):

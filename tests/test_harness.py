@@ -5,6 +5,7 @@ import pytest
 
 from lame_tta import harness, toy
 from lame_tta.affinity import KernelSpec
+from lame_tta.config import family_from_kv
 from lame_tta.harness import (
     MethodSpec,
     Scenario,
@@ -19,6 +20,7 @@ from lame_tta.harness import (
     rows_from_csv,
     run_grid_jobs,
     run_online,
+    seed_means,
     synthetic_family,
 )
 from lame_tta.solver import SolverConfig, lame_correct
@@ -316,6 +318,28 @@ def test_results_csv_round_trip():
     m = matrix_from_rows(rows)
     assert m.scenarios == ["A"]
     assert m.check_diagonal_dominance()
+
+
+def test_seed_means_keep_first_appearance_order():
+    means = seed_means([("m", "B", 0.5), ("b", "A", 1.0), ("m", "B", 0.25), ("m", "A", 0.0)])
+    assert list(means) == [("m", "B"), ("b", "A"), ("m", "A")]
+    assert means == {("m", "B"): 0.375, ("b", "A"): 1.0, ("m", "A"): 0.0}
+
+
+def test_matrix_from_grid_csv_equals_the_grid_tables():
+    # `lame matrix` reads back the seed means `lame grid` selected with:
+    # a family listed as D,A comes back in sorted order, bit for bit
+    scenarios, seeds = family_from_kv(
+        {"source": "synthetic:K=4,d=6,n_per_class=60,spread=0.3,rotation=0.4,noise=0.25",
+         "scenarios": "D,A", "batch_size": "16", "seeds": "0,1"}
+    )
+    result = grid_search(scenarios, "lame", seeds=seeds)
+    assert result.scenario_ids == ["D", "A"]
+    got = matrix_from_rows(rows_from_csv(results_to_csv(result.runs)))
+    want = cross_shift_matrix(result.acc[:, ::-1], result.baseline_acc[::-1], ["A", "D"])
+    assert got.scenarios == want.scenarios == ["A", "D"]
+    assert got.chosen == want.chosen
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_matrix_from_rows_requires_baseline():

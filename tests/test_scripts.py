@@ -52,3 +52,27 @@ def test_cross_shift_script(tmp_path):
         assert (out / f"matrix_{method}" / "matrix.csv").read_text().startswith(
             "tuned_on\\eval_on,A\n"
         )
+
+
+def test_snapshot_outputs_script_is_byte_identical_across_runs(tmp_path):
+    for name in ("a", "b"):
+        proc = run_script(tmp_path, "snapshot_outputs.py", "--out", name)
+        assert proc.returncode == 0, proc.stderr
+
+    def files(root):
+        return {
+            p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "timings.json"
+        }
+
+    a, b = files(tmp_path / "a"), files(tmp_path / "b")
+    assert sorted(a) == sorted(b)
+    assert [name for name in a if a[name] != b[name]] == []
+    codes = dict(line.split() for line in a["exit_codes.txt"].decode().splitlines())
+    failing = {"sweep_repeated_size", "toy2d_repeated_seed"}
+    assert {name for name, code in codes.items() if code != "0"} == failing
+    assert set(codes.values()) == {"0", "1"}
+    for name in ("grid_shot_im/grid_results.csv", "matrix_lame/matrix.csv",
+                 "simulate_tasks/stream.csv", "correct_mapped/corrected.csv"):
+        assert name in a

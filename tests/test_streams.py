@@ -1,8 +1,12 @@
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lame_tta.harness import synthetic_family
 from lame_tta.mapping import ClassMapping
 from lame_tta.streams import (
     Dataset,
@@ -15,6 +19,7 @@ from lame_tta.streams import (
     load_embeddings,
     make_stream,
     save_embeddings,
+    stream_order,
     zipf_priors,
 )
 from lame_tta.toy import toy_predict
@@ -240,6 +245,31 @@ def test_make_stream_mapping_source_count_mismatch():
     spec = ScenarioSpec(source="x", sampling="iid", batch_size=16, seed=0, mapping=m)
     with pytest.raises(ValueError, match="mapping covers 4"):
         make_stream(data, spec)
+
+
+@pytest.mark.parametrize("letter", ["A", "B", "C", "D"])
+@pytest.mark.parametrize("variant", ["mapping", "task_ids"])
+def test_make_stream_cuts_the_stream_order(letter, variant):
+    # the batches are stream_order cut by batch_size: the features of its
+    # rows and their labels, through the mapping when there is one
+    data = make_dataset(N=90, K=3, seed=5)
+    mapping = None
+    if variant == "mapping":
+        mapping = ClassMapping(3, 2, (0, 1, -1))
+    else:
+        data = replace(data, task_ids=np.arange(len(data)) % 4)
+    family = synthetic_family("x", batch_size=7, letters=(letter,), mapping=mapping)
+    spec = replace(family[0].spec, seed=3)
+    with pytest.warns(UserWarning, match="unmapped") if mapping else nullcontext():
+        order = stream_order(data, spec)
+        stream = make_stream(data, spec)
+    labels = data.labels if mapping is None else mapping.map_labels(data.labels)
+    starts = range(0, len(order), 7)
+    assert len(stream) == len(starts)
+    for batch, start in zip(stream, starts):
+        rows = order[start:start + 7]
+        assert np.array_equal(batch.features, data.features[rows])
+        assert np.array_equal(batch.labels, labels[rows])
 
 
 def test_toy2d_label_rule_and_source_gap():
