@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Byte-identity snapshot: every `lame` subcommand on small inputs.
 
-Writes a labeled container with task ids, a superclass mapping, and
-scenario and family configs under --out, then runs each subcommand
+Writes a labeled container with task ids, a second container whose
+features are points of the integer lattice {1,2,3}^6 with some rows (and
+their logits) repeated, a superclass mapping, and scenario and family
+configs under --out, then runs each subcommand
 in-process from inside that directory with relative paths, one output
 directory per run, and records every run's exit code in
 `exit_codes.txt`. Two snapshots of code with the same outputs then
@@ -38,6 +40,7 @@ INPUTS = {
     "scenario_synthetic.cfg": (
         f"source = {SOURCE}\nsampling = non_iid\nzipf_s = 1.0\nbatch_size = 16\nseed = 0\n"
     ),
+    "scenario_repeated_param.cfg": f"source = {SOURCE},K=6\nbatch_size = 16\n",
     # scenarios out of sorted order: `matrix` sorts them, `grid` does not
     "family.cfg": f"source = {SOURCE}\nscenarios = D,A\nzipf_s = 1.0\nbatch_size = 16\nseeds = 0,1\n",
 }
@@ -50,6 +53,14 @@ RUNS = [
     *(
         (f"correct_{kernel}",
          ["correct", "--input", "data.lame.bin", "--kernel", kernel, "--k", "3",
+          "--batch-size", "32"])
+        for kernel in ("knn", "linear", "rbf")
+    ),
+    # lattice distances tie often and repeated rows coincide: kNN
+    # tie-breaks and equal Q rows
+    *(
+        (f"correct_lattice_{kernel}",
+         ["correct", "--input", "lattice.lame.bin", "--kernel", kernel, "--k", "3",
           "--batch-size", "32"])
         for kernel in ("knn", "linear", "rbf")
     ),
@@ -68,6 +79,8 @@ RUNS = [
     ("sweep_repeated_size",
      ["sweep", "--config", "family.cfg", "--sizes", "8,8,16", "--workers", "1"]),
     ("toy2d_repeated_seed", [*TOY2D, "--lrs", "0.1", "--seeds", "0,1,1"]),
+    # a repeated inline synthetic parameter is an error, not the last one
+    ("simulate_repeated_param", ["simulate", "--config", "scenario_repeated_param.cfg"]),
 ]
 
 
@@ -83,6 +96,16 @@ def write_inputs() -> None:
         task_ids=rng.integers(0, 4, N),
     )
     save_embeddings(data, "data.lame.bin")
+    # every sixth row repeats the one before it, inside the same batch of 32
+    rows = np.arange(96)
+    rows[1::6] -= 1
+    lattice = Dataset(
+        features=rng.integers(1, 4, size=(96, 6)).astype(float)[rows],
+        logits=rng.standard_normal((96, K))[rows],
+        labels=(np.arange(96) % K)[rows],
+        class_count=K,
+    )
+    save_embeddings(lattice, "lattice.lame.bin")
     for name, text in INPUTS.items():
         Path(name).write_text(text, encoding="utf-8")
 

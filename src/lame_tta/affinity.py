@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import canonical_gram, canonical_row_order, pairwise_sq_distances
+from .numerics import in_canonical_layout, sq_distances
 
 SYMMETRY_ATOL = 1e-12
 
@@ -102,12 +102,15 @@ def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
     (A + A^T)/2, so entries are 0, 0.5 (one-sided) or 1 (mutual
     neighbours).
     """
-    X = _check_features(features, k)
+    return in_canonical_layout(_knn, _check_features(features, k), k)
+
+
+def _knn(X: np.ndarray, k: int) -> np.ndarray:
+    # in the canonical layout, a stable argsort breaks ties canonically
     N = X.shape[0]
-    D = pairwise_sq_distances(X)
+    D = sq_distances(X)
     np.fill_diagonal(D, np.inf)
-    order = canonical_row_order(X)
-    nearest = order[np.argsort(D[:, order], axis=1, kind="stable")[:, :k]]
+    nearest = np.argsort(D, axis=1, kind="stable")[:, :k]
     A = np.zeros((N, N))
     A[np.arange(N)[:, None], nearest] = 1.0
     return (A + A.T) / 2.0
@@ -115,15 +118,19 @@ def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
 
 def linear_affinity(features: np.ndarray) -> np.ndarray:
     """Cosine affinity w_ij = x_i^T x_j / (||x_i|| ||x_j||) in [-1, 1],
-    diagonal zeroed; a zero feature row is an error. The product is
-    :func:`~lame_tta.numerics.canonical_gram`, so W is bitwise
-    permutation-equivariant.
+    diagonal zeroed; a zero feature row is an error. Built
+    :func:`~lame_tta.numerics.in_canonical_layout` of the normalized rows,
+    so W is bitwise permutation-equivariant on distinct rows.
     """
     X = _check_features(features)
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("cannot L2-normalize a zero feature row")
-    W = canonical_gram(X / norms)
+    return in_canonical_layout(_cosine, X / norms)
+
+
+def _cosine(X: np.ndarray) -> np.ndarray:
+    W = X @ X.T
     W = (W + W.T) / 2.0
     np.fill_diagonal(W, 0.0)
     return W
@@ -139,9 +146,12 @@ def rbf_affinity(features: np.ndarray, k: int) -> np.ndarray:
     turned into W in place; coincident points everywhere (sigma = 0) are
     an error.
     """
-    X = _check_features(features, k)
+    return in_canonical_layout(_rbf, _check_features(features, k), k)
+
+
+def _rbf(X: np.ndarray, k: int) -> np.ndarray:
     N = X.shape[0]
-    D = pairwise_sq_distances(X)
+    D = sq_distances(X)
     np.fill_diagonal(D, np.inf)
     kth_sq = np.partition(D, k - 1, axis=1)[:, k - 1]
     sigma = math.fsum(np.sqrt(kth_sq)) / N

@@ -13,49 +13,38 @@ from .harness import Scenario, synthetic_family
 from .mapping import ClassMapping, load_mapping
 from .streams import ScenarioSpec, SyntheticConfig
 
-SCENARIO_KEYS = ("source", "sampling", "zipf_s", "batch_size", "seed", "mapping")
-FAMILY_KEYS = ("source", "scenarios", "zipf_s", "batch_size", "seeds", "mapping")
-
-_SYNTH_FIELDS = {
-    "k": ("K", int),
-    "d": ("d", int),
-    "n_per_class": ("n_per_class", int),
-    "spread": ("cluster_spread", float),
-    "rotation": ("rotation_angle", float),
-    "noise": ("noise_sigma", float),
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_kv(text: str) -> dict[str, str]:
+def _parse_items(items, fold=str) -> dict[str, str]:
+    """{key: value} of ``(where, "key=value")`` pairs, stripped, each key
+    through ``fold``: the one rule for config lines, ``--set`` items and
+    inline synthetic parameters. A missing ``=``, an empty key or a
+    repeated key is an error naming ``where``."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+    for where, item in items:
+        key, eq, value = item.partition("=")
+        key = fold(key.strip())
+        if not eq or not key:
+            raise ConfigError(f"{where}: expected 'key = value'")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
+def parse_kv(text: str) -> dict[str, str]:
+    lines = ((f"line {n}", raw.strip()) for n, raw in enumerate(text.splitlines(), start=1))
+    return _parse_items((where, line) for where, line in lines if line and not line.startswith("#"))
+
+
 def apply_overrides(kv: dict[str, str], overrides: list[str]) -> dict[str, str]:
+    """``kv`` with each ``--set`` item applied in turn, so a later one wins."""
     merged = dict(kv)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, value = item.split("=", 1)
-        merged[key.strip()] = value.strip()
+        merged.update(_parse_items([(f"override {item!r}", item)]))
     return merged
 
 
@@ -75,85 +64,89 @@ def parse_list(text: str, cast, name: str) -> list:
     return values
 
 
+def _fields(items: dict[str, str], table: dict, what: str) -> dict:
+    """The keyword arguments that ``table`` ({key: (field, parser)}) makes
+    of ``items``, parsed in table order. An absent key is left out, so it
+    takes the default of the callee; an unknown key, a missing ``source``
+    or a value that its parser rejects is an error naming the key."""
+    unknown = sorted(set(items) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown {what}(s): {unknown}")
+    if "source" in table and "source" not in items:
+        raise ConfigError("config needs a 'source' key")
+    out = {}
+    for key in (key for key in table if key in items):
+        field, parse = table[key]
+        try:
+            out[field] = parse(items[key])
+        except ValueError as exc:
+            raise ConfigError(f"bad value {items[key]!r} for {what} {key!r}: {exc}") from None
+    return out
+
+
+_SYNTHETIC_FIELDS = {
+    "k": ("K", int),
+    "d": ("d", int),
+    "n_per_class": ("n_per_class", int),
+    "spread": ("cluster_spread", float),
+    "rotation": ("rotation_angle", float),
+    "noise": ("noise_sigma", float),
+}
+
+
 def parse_source(value: str) -> SyntheticConfig | str:
+    """A container path, or ``synthetic`` with optional ``:key=value,...``
+    parameters (keys case-insensitive) for :class:`SyntheticConfig`."""
     if not value:
         raise ConfigError("source must not be empty")
-    if value == "synthetic":
-        return SyntheticConfig()
-    if value.startswith("synthetic:"):
-        kwargs = {}
-        for part in value[len("synthetic:"):].split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise ConfigError(f"bad synthetic parameter {part!r}")
-            key, val = (s.strip() for s in part.split("=", 1))
-            if key.lower() not in _SYNTH_FIELDS:
-                raise ConfigError(f"unknown synthetic parameter {key!r}")
-            name, cast = _SYNTH_FIELDS[key.lower()]
-            try:
-                kwargs[name] = cast(val)
-            except ValueError:
-                raise ConfigError(f"bad value for synthetic parameter {key!r}: {val!r}") from None
-        return SyntheticConfig(**kwargs)
-    return value
+    if value != "synthetic" and not value.startswith("synthetic:"):
+        return value
+    parts = (part.strip() for part in value[len("synthetic:"):].split(","))
+    params = _parse_items(((f"synthetic parameter {p!r}", p) for p in parts if p), str.lower)
+    return SyntheticConfig(**_fields(params, _SYNTHETIC_FIELDS, "synthetic parameter"))
 
 
 def _parse_zipf(value: str) -> float | None:
-    if value.lower() in ("", "none", "off"):
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"bad zipf_s value {value!r}") from None
+    return None if value.lower() in ("", "none", "off") else float(value)
 
 
 def _load_mapping(value: str) -> ClassMapping | None:
-    if value.lower() in ("", "none"):
-        return None
-    return load_mapping(value)
+    return None if value.lower() in ("", "none") else load_mapping(value)
 
 
-def _source_and_mapping(kv: dict[str, str], keys: tuple[str, ...], what: str):
-    """Reject unknown keys; parse the required source and the optional mapping."""
-    unknown = set(kv) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    if "source" not in kv:
-        raise ConfigError(f"{what} config needs a 'source' key")
-    return parse_source(kv["source"]), _load_mapping(kv.get("mapping", "none"))
+# the mapping comes second: a missing mapping file outranks a bad value
+_SCENARIO_FIELDS = {
+    "source": ("source", parse_source),
+    "mapping": ("mapping", _load_mapping),
+    "sampling": ("sampling", str),
+    "zipf_s": ("prior_shift", _parse_zipf),
+    "batch_size": ("batch_size", int),
+    "seed": ("seed", int),
+}
+_FAMILY_FIELDS = {
+    "source": ("source", parse_source),
+    "mapping": ("mapping", _load_mapping),
+    "scenarios": ("letters", lambda text: tuple(parse_list(text, str.upper, "scenarios"))),
+    "seeds": ("seeds", lambda text: parse_list(text, int, "seeds")),
+    "zipf_s": ("zipf_s", _parse_zipf),
+    "batch_size": ("batch_size", int),
+}
+FAMILY_KEYS = tuple(_FAMILY_FIELDS)
 
 
 def scenario_from_kv(kv: dict[str, str]) -> ScenarioSpec:
-    source, mapping = _source_and_mapping(kv, SCENARIO_KEYS, "scenario")
-    return ScenarioSpec(
-        source=source,
-        sampling=kv.get("sampling", "iid"),
-        prior_shift=_parse_zipf(kv.get("zipf_s", "none")),
-        batch_size=int(kv.get("batch_size", "64")),
-        seed=int(kv.get("seed", "0")),
-        mapping=mapping,
-    )
+    return ScenarioSpec(**_fields(kv, _SCENARIO_FIELDS, "config key"))
 
 
 def family_from_kv(kv: dict[str, str]) -> tuple[list[Scenario], list[int]]:
     """The scenarios and seeds of a family config: one scenario per letter
-    of ``scenarios`` (A = i.i.d., B = non-i.i.d., C = i.i.d. + prior shift,
-    D = non-i.i.d. + prior shift), all sharing one source."""
-    source, mapping = _source_and_mapping(kv, FAMILY_KEYS, "family")
-    letters = parse_list(kv.get("scenarios", "A,B,C,D"), str.upper, "scenarios")
-    seeds = parse_list(kv.get("seeds", "0"), int, "seeds")
-    zipf = _parse_zipf(kv.get("zipf_s", "1.0"))
-    if zipf is None and any(letter in ("C", "D") for letter in letters):
+    of ``scenarios`` (see :func:`~lame_tta.harness.synthetic_family`), all
+    sharing one source; without ``seeds``, the one default scenario seed."""
+    fields = _fields(kv, _FAMILY_FIELDS, "config key")
+    seeds = fields.pop("seeds", [ScenarioSpec.seed])
+    scenarios = synthetic_family(**fields)
+    if any(sc.scenario_id in ("C", "D") and sc.spec.prior_shift is None for sc in scenarios):
         raise ConfigError("prior-shift scenarios need a zipf_s value")
-    scenarios = synthetic_family(
-        source,
-        batch_size=int(kv.get("batch_size", "32")),
-        zipf_s=zipf,
-        letters=tuple(letters),
-        mapping=mapping,
-    )
     return scenarios, seeds
 
 

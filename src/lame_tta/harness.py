@@ -23,6 +23,7 @@ from .toy import STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, blend_stat
 
 METHOD_KINDS = ("baseline", "lame", "entropy_min", "pseudo_label", "shot_im", "restandardize_only")
 NAM_KINDS = ("entropy_min", "pseudo_label", "shot_im")
+SOURCE_MODEL_KINDS = NAM_KINDS + ("restandardize_only",)
 
 STAGES = ("forward_emulation", "optimization", "second_forward")
 
@@ -44,7 +45,7 @@ class MethodSpec:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.kind == "lame" and self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec())
-        if self.kind in NAM_KINDS + ("restandardize_only",) and self.adapt is None:
+        if self.kind in SOURCE_MODEL_KINDS and self.adapt is None:
             raise ValueError(f"{self.kind} needs an AdaptConfig")
 
     def hyperparameters(self) -> dict:
@@ -199,11 +200,11 @@ def run_online(
     (entropy_min, pseudo_label, shot_im), ``forward_emulation`` is the
     running-statistics update, ``optimization`` the loss forward, the
     backward pass and the parameter update, and ``second_forward`` the
-    re-prediction with the updated model. restandardize_only does its one
-    forward in ``forward_emulation``.
+    re-prediction with the updated model. restandardize_only takes the
+    same path without the step: its ``optimization`` is exactly zero.
     """
     d, K = _validate_stream(stream)
-    if method.kind in NAM_KINDS + ("restandardize_only",):
+    if method.kind in SOURCE_MODEL_KINDS:
         if source is None:
             raise ValueError(f"{method.kind} needs the source model and statistics")
         model, stats = source
@@ -236,20 +237,15 @@ def run_online(
             nonmonotone += not diag.monotone
             preds = np.argmax(Z, axis=1)
             timings["optimization"] += time.perf_counter() - t0
-        elif method.kind == "restandardize_only":
-            t0 = time.perf_counter()
-            Q, stats = toy_predict(model, X, stats, method.adapt.stat_momentum)
-            preds = np.argmax(Q, axis=1)
-            timings["forward_emulation"] += time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
             stats = blend_stats(stats, X, method.adapt.stat_momentum)
             timings["forward_emulation"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            model, velocity = STEP_FUNCTIONS[method.kind](
-                model, X, method.adapt, stats, velocity
-            )
-            timings["optimization"] += time.perf_counter() - t0
+            step = STEP_FUNCTIONS.get(method.kind)
+            if step is not None:
+                t0 = time.perf_counter()
+                model, velocity = step(model, X, method.adapt, stats, velocity)
+                timings["optimization"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             Q, _ = toy_predict(model, X, stats, 0.0)
             preds = np.argmax(Q, axis=1)

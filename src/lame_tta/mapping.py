@@ -17,7 +17,7 @@ first appearance order of their labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class ClassMapping:
     source_count: int
     target_count: int
     assignment: tuple[int, ...]
-    target_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if self.source_count < 1 or self.target_count < 1:
@@ -60,8 +59,6 @@ class ClassMapping:
         missing = set(range(self.target_count)) - seen
         if missing:
             raise MappingError(f"empty target class(es): {sorted(missing)}")
-        if self.target_labels and len(self.target_labels) != self.target_count:
-            raise MappingError("target_labels length must equal target_count")
 
     def over(self, class_count: int) -> "ClassMapping":
         """This mapping over a dataset's ``class_count`` source classes:
@@ -155,7 +152,7 @@ def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:
         assignment[y] = labels.index(label)
     if not labels:
         raise MappingError("every source class is unmapped; no target classes defined")
-    m = ClassMapping(len(assignment), len(labels), tuple(assignment), tuple(labels))
+    m = ClassMapping(len(assignment), len(labels), tuple(assignment))
     return m if source_count is None else m.over(source_count)
 
 

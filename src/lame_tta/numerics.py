@@ -3,8 +3,8 @@ softmax and pairwise squared distances.
 
 Everything here runs at 64-bit precision. Reduction policy: batch-wide
 work runs once in the canonical row layout of :func:`canonical_row_order`
-with plain numpy/BLAS sums and products (:func:`canonical_gram`) and is
-permuted back, so the determinism contract is paid once per batch. Scalar
+with plain numpy/BLAS sums and products (:func:`in_canonical_layout`) and
+is permuted back, so the determinism contract is paid once per batch. Scalar
 sums over one vector (the rbf bandwidth) use ``math.fsum``. Value-sorted
 row sums (:func:`sorted_rowsums`) remain only where a class permutation
 must commute with a row reduction before any canonical layout exists:
@@ -42,13 +42,12 @@ def inverse_permutation(order: np.ndarray) -> np.ndarray:
     return inv
 
 
-def canonical_gram(X: np.ndarray) -> np.ndarray:
-    """X @ X.T taken on the rows in :func:`canonical_row_order` and permuted
-    back, so permuting the rows of X permutes the result bitwise."""
+def in_canonical_layout(build, X: np.ndarray, *args) -> np.ndarray:
+    """``build`` on X's rows in :func:`canonical_row_order`, its (N, N)
+    result permuted back: permuting distinct rows of X permutes it bitwise."""
     order = canonical_row_order(X)
     inv = inverse_permutation(order)
-    Xs = X[order]
-    return (Xs @ Xs.T).take(inv, 0).take(inv, 1)
+    return build(X[order], *args).take(inv, 0).take(inv, 1)
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -66,16 +65,21 @@ def pairwise_sq_distances(features: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances between feature rows.
 
     Exactly symmetric with an exactly zero diagonal; entries clipped at 0
-    against Gram-trick rounding. The Gram product is
-    :func:`canonical_gram`, so permuting the input rows permutes the result
-    bitwise.
+    against Gram-trick rounding. Built :func:`in_canonical_layout`, so
+    permuting distinct input rows permutes the result bitwise.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("features must be a non-empty (N, d) matrix")
+    return in_canonical_layout(sq_distances, X)
+
+
+def sq_distances(X: np.ndarray) -> np.ndarray:
+    """:func:`pairwise_sq_distances` in X's own row layout, from a plain
+    ``X @ X.T``."""
     # D = (E + E.T) / 2 with E_ij = (sq_i + sq_j) - 2 G_ij, evaluated in
     # that order in two N x N buffers; G's buffer is reused, so sq is a copy
-    D = canonical_gram(X)
+    D = X @ X.T
     sq = np.diagonal(D).copy()
     S = np.add(sq[:, None], sq[None, :])
     np.subtract(S, np.multiply(D, 2.0, out=D), out=S)

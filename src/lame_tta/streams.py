@@ -26,13 +26,12 @@ FLAG_TASKS = 2
 
 
 class EmbeddingFormatError(ValueError):
-    """Malformed embedding container; carries the offending byte offset."""
+    """Malformed embedding container; the message names the offending byte offset."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
-        self.offset = offset
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,8 @@ from lame_tta.affinity import (
     rbf_affinity,
     validate_affinity,
 )
-from lame_tta.numerics import canonical_gram, pairwise_sq_distances
-from oracles import (
-    reference_affinity,
-    reference_canonical_gram,
-    reference_pairwise_sq_distances,
-)
+from lame_tta.numerics import pairwise_sq_distances
+from oracles import reference_affinity, reference_pairwise_sq_distances
 
 
 def random_features(seed, N=None, d=None):
@@ -81,6 +77,49 @@ def test_knn_permutation_equivariant_on_tied_lattice_distances():
         p = rng.permutation(len(X))
         W = knn_affinity(X, min(3, len(X) - 1))
         assert np.array_equal(knn_affinity(X[p], min(3, len(X) - 1)), W[np.ix_(p, p)])
+
+
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_dense_kernels_permutation_equivariant_on_tied_lattice_distances(kind):
+    # lattice rows tie on distances and on cosines; rbf and linear W depend
+    # on the row contents only, so distinct rows permute W bitwise. BLAS may
+    # round the Gram products of two equal rows differently by their
+    # position, so with repeated rows W permutes to within rounding
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        X = np.unique(rng.integers(1, 4, size=(int(rng.integers(6, 16)), 3)), axis=0)
+        X = X[rng.permutation(len(X))].astype(float)
+        repeated = np.concatenate([X, X[rng.integers(0, len(X), 4)]])
+        for Y, bitwise in ((X, True), (repeated, False)):
+            spec = KernelSpec(kind, min(3, len(Y) - 1))
+            W = spec.build(Y)
+            p = rng.permutation(len(Y))
+            if bitwise:
+                assert spec.build(Y[p]).tobytes() == W[np.ix_(p, p)].tobytes()
+            else:
+                assert np.allclose(spec.build(Y[p]), W[np.ix_(p, p)], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("build", ["knn", "rbf", "linear", "distances"])
+def test_each_kernel_build_orders_its_rows_once(monkeypatch, build):
+    from lame_tta import affinity, numerics
+
+    original = numerics.canonical_row_order
+    calls = []
+
+    def counted(M):
+        calls.append(len(M))
+        return original(M)
+
+    # affinity.canonical_row_order would be a second, direct caller
+    for module in (numerics, affinity):
+        monkeypatch.setattr(module, "canonical_row_order", counted, raising=False)
+    X = random_features(3, N=12, d=4)
+    if build == "distances":
+        pairwise_sq_distances(X)
+    else:
+        KernelSpec(build, 3).build(X)
+    assert calls == [12]
 
 
 def test_linear_identical_unit_vectors():
@@ -251,13 +290,12 @@ def build_or_error(build):
 
 @pytest.mark.parametrize("N", [2, 3, 32, 64, 512])
 def test_in_place_affinity_builds_equal_fresh_array_formulas_bitwise(N):
-    # Gram, distances and every kernel's W against the same formulas on
+    # distances and every kernel's W against the same formulas on
     # fresh arrays: on random batches and on integer lattices in {1,2,3}^6,
     # whose distances tie often (and coincide at N=512)
     rng = np.random.default_rng(N)
     k = min(5, N - 1)
     for X in (rng.standard_normal((N, 6)), rng.integers(1, 4, size=(N, 6)).astype(float)):
-        assert canonical_gram(X).tobytes() == reference_canonical_gram(X).tobytes()
         assert pairwise_sq_distances(X).tobytes() == reference_pairwise_sq_distances(X).tobytes()
         for kind in ("knn", "rbf", "linear"):
             got = build_or_error(lambda: KernelSpec(kind, k).build(X))

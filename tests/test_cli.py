@@ -14,6 +14,7 @@ from lame_tta.cli import MANIFEST_EXCLUDED, build_parser, main
 from lame_tta.config import (
     FAMILY_KEYS,
     ConfigError,
+    apply_overrides,
     family_from_kv,
     parse_kv,
     parse_list,
@@ -23,8 +24,10 @@ from lame_tta.config import (
 from lame_tta.mapping import load_mapping, pool_rows
 from lame_tta.numerics import softmax_rows
 from lame_tta.solver import SolverConfig
+from lame_tta.harness import synthetic_family
 from lame_tta.streams import (
     Dataset,
+    ScenarioSpec,
     SyntheticConfig,
     generate_synthetic,
     load_embeddings,
@@ -139,6 +142,49 @@ def test_parse_source_variants():
     assert parse_source("some/path.bin") == "some/path.bin"
     with pytest.raises(ConfigError):
         parse_source("synthetic:unknown=1")
+
+
+def test_one_key_value_rule_for_lines_overrides_and_synthetic_parameters():
+    for text, where in (("a", "line 1"), ("= 1", "line 1")):
+        with pytest.raises(ConfigError, match=where):
+            parse_kv(text)
+    with pytest.raises(ConfigError, match="override '=1'"):
+        apply_overrides({}, ["=1"])
+    with pytest.raises(ConfigError, match="synthetic parameter 'K'"):
+        parse_source("synthetic:K")
+    # overrides apply in turn: a later one wins over the file and earlier ones
+    assert apply_overrides({"a": "1"}, ["a=2", " a = 3 "]) == {"a": "3"}
+
+
+def test_absent_config_keys_take_the_library_defaults():
+    assert parse_source("synthetic") == SyntheticConfig()
+    assert scenario_from_kv({"source": "synthetic"}) == ScenarioSpec(SyntheticConfig())
+    scenarios, seeds = family_from_kv({"source": "synthetic"})
+    assert scenarios == synthetic_family(SyntheticConfig()) and seeds == [ScenarioSpec.seed]
+
+
+def test_repeated_synthetic_parameter_is_an_error(tmp_path, capsys):
+    cfg = write(tmp_path / "s.cfg", f"source = {SMALL_SOURCE},K=6\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "synthetic parameter 'K=6': duplicate key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (f"source = {SMALL_SOURCE}\nbatch_size = abc\n", "'abc' for config key 'batch_size'"),
+        ("source = synthetic:d=4,spread=abc\n", "'abc' for synthetic parameter 'spread'"),
+        (f"source = {SMALL_SOURCE}\nzipf_s = abc\n", "'abc' for config key 'zipf_s'"),
+        ("source = synthetic:K=abc\n", "'abc' for synthetic parameter 'k'"),
+    ],
+    ids=["int", "float", "zipf_s", "synthetic_int"],
+)
+def test_config_value_that_fails_to_parse_names_its_key(tmp_path, capsys, text, named):
+    cfg = write(tmp_path / "s.cfg", text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"bad value {named}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

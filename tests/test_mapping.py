@@ -139,7 +139,6 @@ def test_parse_mapping_basic():
     m = parse_mapping("0\tA\n1\tB\n")
     assert m.source_count == 2 and m.target_count == 2
     assert m.assignment == (0, 1)
-    assert m.target_labels == ("A", "B")
 
 
 def test_parse_mapping_null_token():
@@ -151,7 +150,6 @@ def test_parse_mapping_null_token():
 def test_parse_mapping_first_appearance_order():
     m = parse_mapping("2\tdog\n0\tcat\n1\tdog\n")
     # target indices follow first appearance in file order: dog before cat
-    assert m.target_labels == ("dog", "cat")
     assert m.assignment == (1, 0, 0)
 
 
@@ -183,7 +181,7 @@ def test_parse_mapping_source_count_enforced():
 def test_mapping_over_a_class_count_leaves_trailing_classes_unmapped():
     m = parse_mapping("0\tA\n1\tB\n2\tA\n")
     wide = m.over(5)
-    assert wide.assignment == (0, 1, 0, -1, -1) and wide.target_labels == ("A", "B")
+    assert wide.assignment == (0, 1, 0, -1, -1)
     assert wide == parse_mapping("0\tA\n1\tB\n2\tA\n", source_count=5)
     assert m.over(3) == m
     with pytest.raises(MappingError, match="mapping covers 3 source classes but the dataset has 2"):

@@ -70,7 +70,7 @@ def test_snapshot_outputs_script_is_byte_identical_across_runs(tmp_path):
     assert sorted(a) == sorted(b)
     assert [name for name in a if a[name] != b[name]] == []
     codes = dict(line.split() for line in a["exit_codes.txt"].decode().splitlines())
-    failing = {"sweep_repeated_size", "toy2d_repeated_seed"}
+    failing = {"sweep_repeated_size", "toy2d_repeated_seed", "simulate_repeated_param"}
     assert {name for name, code in codes.items() if code != "0"} == failing
     assert set(codes.values()) == {"0", "1"}
     for name in ("grid_shot_im/grid_results.csv", "matrix_lame/matrix.csv",
