@@ -3,11 +3,12 @@
 
 Writes a labeled container with task ids, a second container whose
 features are points of the integer lattice {1,2,3}^6 with some rows (and
-their logits) repeated, a superclass mapping, and scenario and family
+their logits) repeated, containers with 1,000 and 10,000 classes, one
+whose rows all coincide, a superclass mapping, and scenario and family
 configs under --out, then runs each subcommand
 in-process from inside that directory with relative paths, one output
-directory per run, and records every run's exit code in
-`exit_codes.txt`. Two snapshots of code with the same outputs then
+directory per run (two runs share one), and records every run's exit
+code in `exit_codes.txt`. Two snapshots of code with the same outputs then
 compare clean with
 
     diff -r -x timings.json A B
@@ -66,6 +67,15 @@ RUNS = [
     ),
     ("correct_mapped",
      ["correct", "--input", "data.lame.bin", "--mapping", "mapping.tsv", "--batch-size", "40"]),
+    # corrected.csv in chunks of a few rows, and of one row each
+    ("correct_wide", ["correct", "--input", "wide.lame.bin", "--batch-size", "32"]),
+    ("correct_wider", ["correct", "--input", "wider.lame.bin", "--batch-size", "32"]),
+    # a failed run into the --out of a good one leaves none of correct's outputs
+    ("correct_reused",
+     ["correct", "--input", "data.lame.bin", "--kernel", "rbf", "--k", "3", "--batch-size", "32"]),
+    ("correct_reused_coincident",
+     ["correct", "--input", "coincident.lame.bin", "--kernel", "rbf", "--k", "3",
+      "--batch-size", "32", "--out", "correct_reused"]),
     ("toy2d", [*TOY2D, "--lrs", "0.01,0.1", "--seeds", "0,1"]),
     ("sweep", ["sweep", "--config", "family.cfg", "--sizes", "1,8,16", "--workers", "2"]),
     *(
@@ -106,6 +116,21 @@ def write_inputs() -> None:
         class_count=K,
     )
     save_embeddings(lattice, "lattice.lame.bin")
+    # K above the formatter's chunk of values
+    for name, rows, classes in (("wide", 64, 1000), ("wider", 3, 10_000)):
+        save_embeddings(Dataset(
+            features=rng.standard_normal((rows, d)),
+            logits=3.0 * rng.standard_normal((rows, classes)),
+            labels=None,
+            class_count=classes,
+        ), f"{name}.lame.bin")
+    # the first batch of 32 rows is one point repeated: a zero rbf bandwidth
+    save_embeddings(Dataset(
+        features=np.repeat(data.features[:1], N, axis=0),
+        logits=data.logits,
+        labels=data.labels,
+        class_count=K,
+    ), "coincident.lame.bin")
     for name, text in INPUTS.items():
         Path(name).write_text(text, encoding="utf-8")
 
@@ -120,7 +145,9 @@ def main() -> int:
         return 1
     os.chdir(out)
     write_inputs()
-    codes = [f"{name} {lame_main([*argv, '--out', name])}\n" for name, argv in RUNS]
+    # a run writes into the directory named after it, unless it names one
+    codes = [f"{name} {lame_main(argv if '--out' in argv else [*argv, '--out', name])}\n"
+             for name, argv in RUNS]
     Path("exit_codes.txt").write_text("".join(codes), encoding="utf-8")
     return 0
 

@@ -107,10 +107,25 @@ def _read_config(args, seed_key: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 
+# what `correct` writes into --out; a failed run leaves none of them, not
+# even those of an earlier run into the same directory
+CORRECT_OUTPUTS = ("corrected.csv", "diagnostics.json", "timings.json", "manifest.json")
+
+
 def cmd_correct(args) -> None:
+    out = Path(args.out)
+    try:
+        _correct(args, out)
+    except BaseException:
+        if out.is_dir():
+            for name in CORRECT_OUTPUTS:
+                (out / name).unlink(missing_ok=True)
+        raise
+
+
+def _correct(args, out: Path) -> None:
     if args.batch_size < 1:
         raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
-    out = Path(args.out)
     t0 = perf_counter()
     data = load_embeddings(args.input)
     mapping = load_mapping(args.mapping, source_count=data.class_count) if args.mapping else None
@@ -121,29 +136,23 @@ def cmd_correct(args) -> None:
     probs = source_probs(data.logits, mapping)
     timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0, "csv_s": 0.0}
 
-    # each batch is written as soon as it is solved; on any failure no
-    # corrected.csv is left
+    # each batch is written as soon as it is solved
     diagnostics = []
-    path = out / "corrected.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with open(path, "wb") as fh:
-            csvrows.write_header(fh, probs.shape[1])
-            for start in range(0, len(probs), args.batch_size):
-                sl = slice(start, start + args.batch_size)
-                t1 = perf_counter()
-                W = batch_affinity(kernel, data.features[sl])
-                t2 = perf_counter()
-                Z, diag = lame_correct(probs[sl], W, solver_cfg)
-                t3 = perf_counter()
-                csvrows.write_rows(fh, start, Z)
-                timings["affinity_s"] += t2 - t1
-                timings["solve_s"] += t3 - t2
-                timings["csv_s"] += perf_counter() - t3
-                diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "corrected.csv", "wb") as fh:
+        csvrows.write_header(fh, probs.shape[1])
+        for start in range(0, len(probs), args.batch_size):
+            sl = slice(start, start + args.batch_size)
+            t1 = perf_counter()
+            W = batch_affinity(kernel, data.features[sl])
+            t2 = perf_counter()
+            Z, diag = lame_correct(probs[sl], W, solver_cfg)
+            t3 = perf_counter()
+            csvrows.write_rows(fh, start, Z)
+            timings["affinity_s"] += t2 - t1
+            timings["solve_s"] += t3 - t2
+            timings["csv_s"] += perf_counter() - t3
+            diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
     _write_json(out / "diagnostics.json", diagnostics)
     _write_json(out / "timings.json", timings)
     _write_manifest(args, None)

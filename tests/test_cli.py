@@ -10,7 +10,7 @@ import pytest
 
 from lame_tta import csvrows, streams
 from lame_tta.affinity import KernelSpec
-from lame_tta.cli import MANIFEST_EXCLUDED, build_parser, main
+from lame_tta.cli import CORRECT_OUTPUTS, MANIFEST_EXCLUDED, build_parser, main
 from lame_tta.config import (
     FAMILY_KEYS,
     ConfigError,
@@ -363,6 +363,25 @@ def test_correct_later_batch_error_leaves_no_csv(tmp_path, capsys):
     ) == 1
     assert "rbf bandwidth is zero" in capsys.readouterr().err
     assert not (out / "corrected.csv").exists()
+
+
+def test_correct_failure_into_a_reused_out_leaves_no_outputs(tmp_path, capsys):
+    # a good run, then runs into the same directory that fail: on a first
+    # batch of coincident rows (zero rbf bandwidth) and on a missing input
+    good = make_embedding_file(tmp_path, N=32, K=3)
+    data = load_embeddings(good)
+    bad = tmp_path / "coincident.bin"
+    save_embeddings(Dataset(np.repeat(data.features[:1], 32, axis=0), data.logits,
+                            data.labels, data.class_count), bad)
+    out = tmp_path / "out"
+    args = ["correct", "--kernel", "rbf", "--k", "3", "--batch-size", "16", "--out", str(out)]
+    for failing, code, message in ((bad, 1, "rbf bandwidth is zero"),
+                                   (tmp_path / "missing.bin", 2, "i/o error")):
+        assert main(args + ["--input", str(good)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(CORRECT_OUTPUTS)
+        assert main(args + ["--input", str(failing)]) == code
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 def test_correct_overflowing_features_exit_1_without_csv(tmp_path, capsys):

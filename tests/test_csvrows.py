@@ -1,13 +1,28 @@
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lame_tta import csvrows
 from oracles import reference_csv_rows
+
+
+class Discard:
+    """A binary sink that keeps nothing."""
+
+    def write(self, data):
+        return len(data)
+
+
+def softmax_like(rng, shape, scale=3.0):
+    logits = rng.normal(0.0, scale, shape)
+    Z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return Z / Z.sum(axis=1, keepdims=True)
 
 
 def formatted(Z, start=0):
@@ -69,6 +84,38 @@ def test_rows_are_written_in_chunks_with_the_same_bytes():
     assert_rows_like_repr(Z, start=95)
     assert_rows_like_repr(rng.random((2, 3 * csvrows.CHUNK_VALUES)))
     assert formatted(np.empty((0, 4))) == ""
+
+
+@pytest.mark.parametrize("K", [1, 1000, csvrows.CHUNK_VALUES + 3])
+def test_rows_split_anywhere_give_the_same_bytes(K):
+    # several chunks of many rows, of a few rows, and of one row each
+    rng = np.random.default_rng(K)
+    n = 2 * csvrows.CHUNK_VALUES // K + 3
+    Z = softmax_like(rng, (n, K))
+    whole = formatted(Z, start=41)
+    assert whole == reference_csv_rows(41, np.argmax(Z, axis=1), Z)
+    for _ in range(3):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(4, n - 1), replace=False))
+        parts = np.split(np.arange(n), cuts)
+        assert "".join(formatted(Z[p], start=41 + p[0]) for p in parts) == whole
+
+
+def test_benchmark_shaped_batch_matches_repr():
+    assert_rows_like_repr(softmax_like(np.random.default_rng(64), (64, 1000)), start=192)
+
+
+@pytest.mark.parametrize("shape", [(64, 1000), (512, 20)])
+def test_formatter_scratch_stays_under_a_megabyte(shape):
+    # the batch shapes of the two `lame correct` benchmark workloads
+    Z = softmax_like(np.random.default_rng(5), shape)
+    csvrows.write_rows(Discard(), 0, Z)
+    tracemalloc.start()
+    try:
+        csvrows.write_rows(Discard(), 0, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def test_importing_the_cli_loads_neither_fractions_nor_decimal():
