@@ -25,7 +25,7 @@ from .harness import (
     synthetic_family,
 )
 from .mapping import ClassMapping, parse_mapping, pool_average
-from .numerics import pairwise_sq_distances, softmax_rows
+from .numerics import softmax_rows
 from .solver import (
     SolveDiagnostics,
     SolverConfig,

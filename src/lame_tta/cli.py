@@ -27,6 +27,7 @@ from .affinity import KERNEL_KINDS, KernelSpec, batch_affinity
 from .config import ConfigError, family_from_kv, parse_list, read_config, scenario_from_kv
 from .harness import (
     METHOD_KINDS,
+    SOLVER_COUNTERS,
     MethodSpec,
     Scenario,
     aggregate_report,
@@ -39,7 +40,7 @@ from .harness import (
     timings_payload,
 )
 from .mapping import load_mapping
-from .solver import SolverConfig, lame_correct
+from .solver import lame_correct
 from .streams import (
     ScenarioSpec,
     generate_toy2d,
@@ -130,7 +131,6 @@ def _correct(args, out: Path) -> None:
     data = load_embeddings(args.input)
     mapping = load_mapping(args.mapping, source_count=data.class_count) if args.mapping else None
     kernel = KernelSpec(kind=args.kernel, k=args.k)
-    solver_cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
 
     # file order is preserved: correction is a filter, not an evaluation
     probs = source_probs(data.logits, mapping)
@@ -146,7 +146,7 @@ def _correct(args, out: Path) -> None:
             t1 = perf_counter()
             W = batch_affinity(kernel, data.features[sl])
             t2 = perf_counter()
-            Z, diag = lame_correct(probs[sl], W, solver_cfg)
+            Z, diag = lame_correct(probs[sl], W)
             t3 = perf_counter()
             csvrows.write_rows(fh, start, Z)
             timings["affinity_s"] += t2 - t1
@@ -232,16 +232,19 @@ def cmd_grid(args) -> None:
     table = [[spec.label(), *row] for spec, row in zip(result.grid, result.acc)]
     table.append(["baseline", *result.baseline_acc])
     _write_text(out / "grid_table.csv", csv_text(["method", *result.scenario_ids], table))
+    best = result.best_spec.label()
     _write_json(
         out / "best.json",
         {
             "method": result.method_kind,
-            "best": result.best_spec.label(),
+            "best": best,
             "best_index": result.best_index,
             "best_mean_accuracy": result.best_mean,
             "scenario_ids": result.scenario_ids,
             "per_scenario_accuracy": [float(v) for v in result.acc[result.best_index]],
             "tie_break": "declaration order",
+            **{key: sum(getattr(r, key) for r in result.runs if r.method == best)
+               for key in SOLVER_COUNTERS},
         },
     )
     _write_json(out / "timings.json", timings_payload(result.runs))
@@ -344,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--mapping", default=None)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=100)
     common(p)
     p.set_defaults(func=cmd_correct)
 

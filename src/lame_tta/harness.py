@@ -92,6 +92,11 @@ class RunResult:
         return len(self.batch_accuracies)
 
 
+# RunResult's solver-health counters; `grid` sums them over the runs of
+# its best spec
+SOLVER_COUNTERS = ("solver_iterations", "nonconverged_batches", "nonmonotone_batches")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Named scenario; ``build(seed)`` materializes the stream (and the

@@ -1,5 +1,5 @@
 """Shared numeric primitives: the canonical row layout, a row-wise stable
-softmax and pairwise squared distances.
+softmax and squared distances between feature rows.
 
 Everything here runs at 64-bit precision. Reduction policy: batch-wide
 work runs once in the canonical row layout of :func:`canonical_row_order`
@@ -61,22 +61,12 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return u / sorted_rowsums(u)[:, None]
 
 
-def pairwise_sq_distances(features: np.ndarray) -> np.ndarray:
-    """Matrix of squared Euclidean distances between feature rows.
-
-    Exactly symmetric with an exactly zero diagonal; entries clipped at 0
-    against Gram-trick rounding. Built :func:`in_canonical_layout`, so
-    permuting distinct input rows permutes the result bitwise.
-    """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("features must be a non-empty (N, d) matrix")
-    return in_canonical_layout(sq_distances, X)
-
-
 def sq_distances(X: np.ndarray) -> np.ndarray:
-    """:func:`pairwise_sq_distances` in X's own row layout, from a plain
-    ``X @ X.T``."""
+    """Squared Euclidean distances between the rows of X, in X's own row
+    layout, from a plain ``X @ X.T``: exactly symmetric with an exactly
+    zero diagonal, entries clipped at 0 against Gram-trick rounding. Run
+    :func:`in_canonical_layout`, permuting distinct rows of X permutes it
+    bitwise."""
     # D = (E + E.T) / 2 with E_ij = (sq_i + sq_j) - 2 G_ij, evaluated in
     # that order in two N x N buffers; G's buffer is reused, so sq is a copy
     D = X @ X.T

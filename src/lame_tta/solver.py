@@ -22,9 +22,10 @@ Determinism contract: :func:`lame_correct` fixes one canonical layout per
 batch and computes inside it with plain numpy/BLAS reductions (see its
 docstring), so a solve is bitwise reproducible, exactly equivariant to
 sample and class permutations up to exact ties, and does not depend on the
-BLAS thread count. The loop reuses work arrays allocated once per call;
-the objective sums KL as z (log z - log q) and takes the 0 log 0 := 0 form
-only when Z holds exact zeros. :func:`lame_objective` and
+BLAS thread count. The loop holds two iterate buffers, allocated once per
+call; the old iterate's buffer is the scratch of each step's delta and
+objective. The objective sums KL as z (log z - log q) and takes the
+0 log 0 := 0 form only when Z holds exact zeros. :func:`lame_objective` and
 :func:`cccp_step` are single evaluations in the caller's layout and make
 no equivariance promise.
 """
@@ -213,23 +214,25 @@ def lame_correct(
     W = W.take(samples, 0).take(samples, 1)
     logQ = np.log(Z)
 
-    # Z and the next iterate swap buffers; T is scratch for the delta and
-    # the objective, and r (R as a column) for the per-row reductions.
-    Z_next, T, r = np.empty_like(Z), np.empty_like(Z), np.empty(len(Z))
+    # Z and the next iterate swap buffers. Only the delta reads the old
+    # iterate, so |Z_next - Z| overwrites it in place, and its buffer is
+    # then the objective's scratch; r (R as a column) holds the per-row
+    # reductions.
+    Z_next, r = np.empty_like(Z), np.empty(len(Z))
     R = r[:, None]
     E = W @ Z
     iterations = 0
     delta = float("inf")
     converged = False
     with np.errstate(divide="ignore", invalid="ignore"):
-        trace = [_objective_from_coupling(Z, logQ, E, T)]
+        trace = [_objective_from_coupling(Z, logQ, E, Z_next)]
         for _ in range(cfg.max_iter):
             _step(logQ, E, Z_next, R)
-            np.subtract(Z_next, Z, out=T)
-            np.abs(T, out=T)
-            delta = float(np.maximum.reduce(np.add.reduce(T, axis=1, out=r)))
+            np.subtract(Z_next, Z, out=Z)
+            np.abs(Z, out=Z)
+            delta = float(np.maximum.reduce(np.add.reduce(Z, axis=1, out=r)))
             np.matmul(W, Z_next, out=E)
-            trace.append(_objective_from_coupling(Z_next, logQ, E, T))
+            trace.append(_objective_from_coupling(Z_next, logQ, E, Z))
             Z, Z_next = Z_next, Z
             iterations += 1
             if delta < cfg.tol:

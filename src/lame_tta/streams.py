@@ -391,19 +391,38 @@ def _record_dtype(d: int, K: int, has_labels: bool, has_tasks: bool) -> np.dtype
     return np.dtype(fields)
 
 
+def _field(name: str, values: np.ndarray, dtype: str) -> np.ndarray:
+    """``values`` cast to a container field's ``dtype``. A finite value
+    outside the dtype's range (a float the cast would turn into inf, an
+    integer it would wrap) raises ValueError naming the field and its
+    record; NaN and inf are written as they are."""
+    info = np.finfo(dtype) if np.dtype(dtype).kind == "f" else np.iinfo(dtype)
+    # two reductions clear the common case without an array of flags
+    if values.size and not (info.min <= values.min() and values.max() <= info.max):
+        bad = np.isfinite(values) & ((values < info.min) | (values > info.max))
+        if bad.any():
+            at = tuple(np.argwhere(bad)[0])
+            raise ValueError(f"{name} value {values[at]} at record {at[0]} does not fit "
+                             f"the container's {np.dtype(dtype).name}")
+    return values.astype(dtype)
+
+
 def save_embeddings(data: Dataset, path) -> None:
-    """Write the dataset in the embedding container format (f32 payload)."""
+    """Write the dataset in the embedding container format (f32 payload).
+
+    Every field is checked before any byte is written (see :func:`_field`).
+    """
     has_labels, has_tasks = data.labels is not None, data.task_ids is not None
     flags = (FLAG_LABELS if has_labels else 0) | (FLAG_TASKS if has_tasks else 0)
     N, d = data.features.shape
     K = data.class_count
     rec = np.zeros(N, dtype=_record_dtype(d, K, has_labels, has_tasks))
-    rec["features"] = data.features.astype("<f4")
-    rec["logits"] = data.logits.astype("<f4")
+    rec["features"] = _field("features", data.features, "<f4")
+    rec["logits"] = _field("logits", data.logits, "<f4")
     if has_labels:
-        rec["label"] = data.labels.astype("<u4")
+        rec["label"] = _field("label", data.labels, "<u4")
     if has_tasks:
-        rec["task"] = data.task_ids.astype("<u4")
+        rec["task"] = _field("task id", data.task_ids, "<u4")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, CONTAINER_VERSION, N, d, K, flags))
         fh.write(rec.tobytes())

@@ -14,7 +14,7 @@ from lame_tta.affinity import (
     rbf_affinity,
     validate_affinity,
 )
-from lame_tta.numerics import pairwise_sq_distances
+from lame_tta.numerics import in_canonical_layout, sq_distances
 from oracles import reference_affinity, reference_pairwise_sq_distances
 
 
@@ -116,7 +116,7 @@ def test_each_kernel_build_orders_its_rows_once(monkeypatch, build):
         monkeypatch.setattr(module, "canonical_row_order", counted, raising=False)
     X = random_features(3, N=12, d=4)
     if build == "distances":
-        pairwise_sq_distances(X)
+        in_canonical_layout(sq_distances, X)
     else:
         KernelSpec(build, 3).build(X)
     assert calls == [12]
@@ -269,7 +269,7 @@ def test_rbf_bandwidth_equals_full_sort_bitwise_on_tied_distances():
     for _ in range(20):
         N, k = int(rng.integers(6, 40)), int(rng.integers(1, 4))
         X = rng.integers(0, 3, size=(N, 2)).astype(float)
-        D = pairwise_sq_distances(X)
+        D = in_canonical_layout(sq_distances, X)
         offdiag = D + np.where(np.eye(N, dtype=bool), np.inf, 0.0)
         sigma = math.fsum(np.sqrt(np.sort(offdiag, axis=1)[:, k - 1])) / N
         if sigma == 0.0:
@@ -296,7 +296,8 @@ def test_in_place_affinity_builds_equal_fresh_array_formulas_bitwise(N):
     rng = np.random.default_rng(N)
     k = min(5, N - 1)
     for X in (rng.standard_normal((N, 6)), rng.integers(1, 4, size=(N, 6)).astype(float)):
-        assert pairwise_sq_distances(X).tobytes() == reference_pairwise_sq_distances(X).tobytes()
+        D = in_canonical_layout(sq_distances, X)
+        assert D.tobytes() == reference_pairwise_sq_distances(X).tobytes()
         for kind in ("knn", "rbf", "linear"):
             got = build_or_error(lambda: KernelSpec(kind, k).build(X))
             assert got == build_or_error(lambda: reference_affinity(kind, X, k)), kind

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import math
+import re
 import threading
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from lame_tta.config import (
 from lame_tta.mapping import load_mapping, pool_rows
 from lame_tta.numerics import softmax_rows
 from lame_tta.solver import SolverConfig
-from lame_tta.harness import synthetic_family
+from lame_tta.harness import SOLVER_COUNTERS, grid_search, synthetic_family
 from lame_tta.streams import (
     Dataset,
     ScenarioSpec,
@@ -385,15 +386,15 @@ def test_correct_failure_into_a_reused_out_leaves_no_outputs(tmp_path, capsys):
 
 
 def test_correct_overflowing_features_exit_1_without_csv(tmp_path, capsys):
-    # the container holds float32 features, so rows near 1e200 arrive as inf
-    # and the loader rejects them; finite float32 rows never overflow the
-    # kernels' float64 distances (test_affinity covers that check)
+    # the container holds float32 features, so rows near 1e200 can only
+    # arrive as inf, and the loader rejects them; finite float32 rows never
+    # overflow the kernels' float64 distances (test_affinity covers that check)
     inp = make_embedding_file(tmp_path, N=16, K=3)
     data = load_embeddings(inp)
-    with np.errstate(over="ignore"):
-        save_embeddings(
-            Dataset(data.features * 1e200, data.logits, data.labels, data.class_count), inp
-        )
+    save_embeddings(
+        Dataset(np.copysign(np.inf, data.features), data.logits, data.labels,
+                data.class_count), inp
+    )
     for kernel in ("knn", "rbf", "linear"):
         out = tmp_path / kernel
         assert main(["correct", "--input", str(inp), "--kernel", kernel, "--k", "3",
@@ -650,6 +651,47 @@ def test_repeated_or_empty_list_values_exit_1(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_grid_best_json_sums_the_best_specs_solver_counters(tmp_path):
+    cfg = write(
+        tmp_path / "family.cfg",
+        f"source = {SMALL_SOURCE}\nscenarios = A,D\nbatch_size = 16\nseeds = 0,1\n",
+    )
+    scenarios, seeds = family_from_kv({"source": SMALL_SOURCE, "scenarios": "A,D",
+                                       "batch_size": "16", "seeds": "0,1"})
+    for method in ("lame", "entropy_min"):
+        out = tmp_path / method
+        assert main(["grid", "--config", str(cfg), "--method", method, "--workers", "1",
+                     "--out", str(out)]) == 0
+        best = json.loads((out / "best.json").read_text())
+        runs = [r for r in grid_search(scenarios, method, seeds=seeds).runs
+                if r.method == best["best"]]
+        assert len(runs) == 4  # two scenarios x two seeds
+        totals = {key: best[key] for key in SOLVER_COUNTERS}
+        if method == "lame":
+            # every batch of every run takes at least one iteration
+            assert totals["solver_iterations"] >= sum(r.n_batches for r in runs)
+            assert totals == {key: sum(getattr(r, key) for r in runs)
+                              for key in SOLVER_COUNTERS}
+        else:
+            assert totals == dict.fromkeys(SOLVER_COUNTERS, 0)
+
+
+def test_readme_cli_section_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {option}"
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        # --k must not count as named by --kernel
+        if not re.search(re.escape(option) + r"(?![\w-])", section)
+    ]
+    assert missing == []
+
+
 def test_grid_matrix_sweep_report_pipeline(tmp_path):
     cfg = write(
         tmp_path / "family.cfg",
@@ -733,6 +775,15 @@ def test_workers_only_on_subcommands_that_use_it(tmp_path, argv):
     # prefix of an option (toy2d's --seeds, correct's --input) is an error,
     # so a removed or mistyped flag cannot run as another one
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_correct_has_no_solver_flags(tmp_path, capsys, flag):
+    # correct solves with the library's default stopping rule
+    argv = ["correct", "--input", str(make_embedding_file(tmp_path)), flag, "1e-6"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

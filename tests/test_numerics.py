@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lame_tta.numerics import canonical_row_order, pairwise_sq_distances, softmax_rows
+from lame_tta.numerics import (
+    canonical_row_order,
+    in_canonical_layout,
+    softmax_rows,
+    sq_distances,
+)
 from lame_tta.solver import lame_objective
 from oracles import is_simplex
 
@@ -118,18 +123,18 @@ def test_canonical_row_order_depends_only_on_row_contents():
 
 
 def test_pairwise_single_point():
-    assert np.array_equal(pairwise_sq_distances(np.array([[1.0, 2.0]])), [[0.0]])
+    assert np.array_equal(in_canonical_layout(sq_distances, np.array([[1.0, 2.0]])), [[0.0]])
 
 
 def test_pairwise_two_points_line():
-    D = pairwise_sq_distances(np.array([[0.0], [3.0]]))
+    D = in_canonical_layout(sq_distances, np.array([[0.0], [3.0]]))
     assert np.array_equal(D, [[0.0, 9.0], [9.0, 0.0]])
 
 
 def test_pairwise_matches_bruteforce():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((3, 5))
-    D = pairwise_sq_distances(X)
+    D = in_canonical_layout(sq_distances, X)
     for i in range(3):
         for j in range(3):
             ref = float(np.sum((X[i] - X[j]) ** 2))
@@ -140,7 +145,7 @@ def test_pairwise_matches_bruteforce():
 @settings(max_examples=40)
 def test_pairwise_triangle_inequality(N, d, seed):
     X = np.random.default_rng(seed).standard_normal((N, d))
-    Dist = np.sqrt(pairwise_sq_distances(X))
+    Dist = np.sqrt(in_canonical_layout(sq_distances, X))
     assert np.array_equal(Dist, Dist.T)
     assert np.all(np.diagonal(Dist) == 0.0)
     for i in range(N):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lame_tta.affinity import KERNEL_KINDS, KernelSpec, knn_affinity
+from lame_tta.numerics import softmax_rows
 from lame_tta.solver import (
     SolverConfig,
     cccp_step,
@@ -352,6 +353,18 @@ def test_solve_matches_reference_loop_bitwise_when_capped():
     Q = random_probs(rng, 40, 6)
     _, diag = assert_matches_reference_loop(Q, knn_affinity(X, 5), SolverConfig(max_iter=2))
     assert not diag.converged and diag.iterations == 2
+
+
+@pytest.mark.parametrize("N, K, kind", [(64, 1000, "knn"), (512, 20, "rbf")])
+def test_solve_matches_reference_loop_bitwise_at_correct_workload_shapes(N, K, kind):
+    # the batch shapes and kernels of the correct-k1000 and
+    # correct-rbf-pooled benchmark workloads, where the loop reuses its
+    # iterate buffers as scratch over many iterations
+    rng = np.random.default_rng(N + K)
+    Q = softmax_rows(3.0 * rng.standard_normal((N, K)))
+    W = KernelSpec(kind, 5).build(rng.standard_normal((N, 16)))
+    _, diag = assert_matches_reference_loop(Q, W)
+    assert diag.iterations > 2
 
 
 def test_clamp_probs_rejects_nan():

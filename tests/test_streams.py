@@ -368,6 +368,27 @@ def test_container_nonfinite_rejected_with_offset(tmp_path):
         load_embeddings(path)
 
 
+def test_container_refuses_finite_values_beyond_float32(tmp_path):
+    # cast unchecked, 1e39 is written as inf and the file fails to load
+    data = make_dataset(N=4, K=2)
+    logits = data.logits.copy()
+    logits[1, 0] = 1e39
+    path = tmp_path / "big.bin"
+    with pytest.raises(ValueError, match="logits value 1e\\+39 at record 1"):
+        save_embeddings(Dataset(data.features, logits, data.labels, 2), path)
+    assert not path.exists()
+
+
+def test_container_refuses_negative_task_ids(tmp_path):
+    # cast unchecked, task id -1 wraps to 4294967295
+    data = make_dataset(N=3, K=2)
+    path = tmp_path / "neg.bin"
+    with pytest.raises(ValueError, match="task id value -1 at record 0"):
+        save_embeddings(Dataset(data.features, data.logits, data.labels, 2,
+                                task_ids=np.array([-1, 0, 1])), path)
+    assert not path.exists()
+
+
 def test_container_label_out_of_range(tmp_path):
     from lame_tta.streams import _HEADER
 
