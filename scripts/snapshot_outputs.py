@@ -4,8 +4,9 @@
 Writes a labeled container with task ids, a second container whose
 features are points of the integer lattice {1,2,3}^6 with some rows (and
 their logits) repeated, containers with 1,000 and 10,000 classes, one
-whose rows all coincide, a superclass mapping, and scenario and family
-configs under --out, then runs each subcommand
+whose rows all coincide, one whose third batch of 32 rows coincides, a
+superclass mapping, and scenario and family configs under --out, then
+runs each subcommand
 in-process from inside that directory with relative paths, one output
 directory per run (two runs share one), and records every run's exit
 code in `exit_codes.txt`. Two snapshots of code with the same outputs then
@@ -76,6 +77,10 @@ RUNS = [
     ("correct_reused_coincident",
      ["correct", "--input", "coincident.lame.bin", "--kernel", "rbf", "--k", "3",
       "--batch-size", "32", "--out", "correct_reused"]),
+    # a run that fails after two batches went to the writer leaves no outputs
+    ("correct_late_coincident",
+     ["correct", "--input", "late_coincident.lame.bin", "--kernel", "rbf", "--k", "3",
+      "--batch-size", "32"]),
     ("toy2d", [*TOY2D, "--lrs", "0.01,0.1", "--seeds", "0,1"]),
     ("sweep", ["sweep", "--config", "family.cfg", "--sizes", "1,8,16", "--workers", "2"]),
     *(
@@ -131,6 +136,10 @@ def write_inputs() -> None:
         labels=data.labels,
         class_count=K,
     ), "coincident.lame.bin")
+    # the third batch of 32 rows is one point repeated
+    features = data.features.copy()
+    features[64:96] = features[64]
+    save_embeddings(Dataset(features, data.logits, data.labels, K), "late_coincident.lame.bin")
     for name, text in INPUTS.items():
         Path(name).write_text(text, encoding="utf-8")
 

@@ -16,8 +16,10 @@ import functools
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
+from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
@@ -134,28 +136,64 @@ def _correct(args, out: Path) -> None:
 
     # file order is preserved: correction is a filter, not an evaluation
     probs = source_probs(data.logits, mapping)
-    timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0, "csv_s": 0.0}
+    timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0,
+               "csv_s": 0.0, "csv_wait_s": 0.0}
 
-    # each batch is written as soon as it is solved
+    # one writer thread formats and appends each solved batch while the
+    # next one is solved; it is handed a batch only once the one before is
+    # written, so batches land in file order, and it is joined before the
+    # file closes. Every batch in `diagnostics` went to the writer.
     diagnostics = []
+    batches, written = SimpleQueue(), SimpleQueue()
+
+    def wait() -> None:
+        t = perf_counter()
+        busy = written.get()
+        timings["csv_wait_s"] += perf_counter() - t
+        if isinstance(busy, BaseException):
+            raise busy
+        timings["csv_s"] += busy
+
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "corrected.csv", "wb") as fh:
         csvrows.write_header(fh, probs.shape[1])
-        for start in range(0, len(probs), args.batch_size):
-            sl = slice(start, start + args.batch_size)
-            t1 = perf_counter()
-            W = batch_affinity(kernel, data.features[sl])
-            t2 = perf_counter()
-            Z, diag = lame_correct(probs[sl], W)
-            t3 = perf_counter()
-            csvrows.write_rows(fh, start, Z)
-            timings["affinity_s"] += t2 - t1
-            timings["solve_s"] += t3 - t2
-            timings["csv_s"] += perf_counter() - t3
-            diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
+        writer = threading.Thread(target=_write_batches, args=(fh, batches, written))
+        writer.start()
+        try:
+            for start in range(0, len(probs), args.batch_size):
+                sl = slice(start, start + args.batch_size)
+                t1 = perf_counter()
+                W = batch_affinity(kernel, data.features[sl])
+                t2 = perf_counter()
+                Z, diag = lame_correct(probs[sl], W)
+                timings["affinity_s"] += t2 - t1
+                timings["solve_s"] += perf_counter() - t2
+                if diagnostics:
+                    wait()
+                batches.put((start, Z))
+                diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
+            if diagnostics:
+                wait()
+        finally:
+            batches.put(None)
+            writer.join()
     _write_json(out / "diagnostics.json", diagnostics)
     _write_json(out / "timings.json", timings)
     _write_manifest(args, None)
+
+
+def _write_batches(fh, batches: SimpleQueue, written: SimpleQueue) -> None:
+    """The writer thread of `correct`: it writes each ``(start, Z)`` taken
+    from ``batches`` until ``None`` and puts its busy time on ``written``,
+    or what the write raised, after which it stops."""
+    while (batch := batches.get()) is not None:
+        t = perf_counter()
+        try:
+            csvrows.write_rows(fh, *batch)
+        except BaseException as exc:  # raised by the solving thread
+            written.put(exc)
+            return
+        written.put(perf_counter() - t)
 
 
 def cmd_simulate(args) -> None:

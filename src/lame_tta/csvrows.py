@@ -47,6 +47,12 @@ which holds no text until the digits are known. At K=1000 this costs
 about 140 ns per value on one core of a Xeon VM (numpy 2.4), against
 about 250 ns for a kernel of 4,096-value chunks that gathered each
 cell's 25 bytes one by one.
+
+Threads. The module-level tables are built once at import and only read
+after; :func:`write_rows` allocates its scratch per call and keeps no
+module-level mutable state, so it may run in another thread than the
+one that solves the batches (``lame correct`` runs it in a writer
+thread) while that thread goes on with other numpy work.
 """
 
 from __future__ import annotations

@@ -1,15 +1,20 @@
 """The benchmark under ``bench/`` reaches into the package by attribute; a
 rename or deletion here would only show up there as a traced run that
 fails. This reads the benchmark's layer table and checks that every name
-in it still resolves."""
+in it still resolves, and that ``lame correct`` calls every traced layer
+from the main thread, as the tracer's span nesting assumes."""
 
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
+PACKAGE = "lame_tta"
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -39,3 +44,50 @@ def test_lame_correct_reachable_from_cli_and_harness():
     for kind in ("entropy_min", "pseudo_label", "shot_im"):
         assert toy.STEP_FUNCTIONS[kind] is getattr(toy, f"{kind}_step")
     assert harness.STEP_FUNCTIONS is toy.STEP_FUNCTIONS
+
+
+def test_correct_calls_every_traced_layer_from_the_main_thread(tmp_path, monkeypatch):
+    from lame_tta.cli import main
+    from lame_tta.streams import Dataset, save_embeddings
+
+    calls = []
+
+    def on_main_thread(layer, fn):
+        def checked(*args, **kwargs):
+            calls.append((layer.span, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return checked
+
+    # as the tracer installs its wrappers: on the class for a method, else
+    # in every package module and dispatch table that holds the function
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == PACKAGE or name.startswith(PACKAGE + "."))]
+    for layer in traced_layers():
+        owner = importlib.import_module(layer.module)
+        if "." in layer.attr:
+            cls_name, meth = layer.attr.split(".")
+            cls = getattr(owner, cls_name)
+            monkeypatch.setattr(cls, meth, on_main_thread(layer, cls.__dict__[meth]))
+            continue
+        orig = getattr(owner, layer.attr)
+        checked = on_main_thread(layer, orig)
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, name, checked)
+                elif isinstance(value, dict):
+                    for key, entry in list(value.items()):
+                        if entry is orig:
+                            monkeypatch.setitem(value, key, checked)
+
+    rng = np.random.default_rng(0)
+    path = tmp_path / "data.bin"
+    save_embeddings(Dataset(rng.standard_normal((100, 4)), rng.standard_normal((100, 50)),
+                            None, 50), path)
+    assert main(["correct", "--input", str(path), "--batch-size", "16",
+                 "--out", str(tmp_path / "out")]) == 0
+    spans = [span for span, _ in calls]
+    # seven batches: six of 16 rows and one of 4
+    assert spans.count("affinity.build") == spans.count("solver.lame_correct") == 7
+    assert spans.count("cli.cmd_correct") == 1
+    assert [span for span, main_thread in calls if not main_thread] == []

@@ -3,14 +3,16 @@ import io
 import json
 import math
 import re
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lame_tta import csvrows, streams
-from lame_tta.affinity import KernelSpec
+from lame_tta import cli, csvrows, streams
+from lame_tta.affinity import KernelSpec, batch_affinity
 from lame_tta.cli import CORRECT_OUTPUTS, MANIFEST_EXCLUDED, build_parser, main
 from lame_tta.config import (
     FAMILY_KEYS,
@@ -24,7 +26,7 @@ from lame_tta.config import (
 )
 from lame_tta.mapping import load_mapping, pool_rows
 from lame_tta.numerics import softmax_rows
-from lame_tta.solver import SolverConfig
+from lame_tta.solver import SolverConfig, lame_correct
 from lame_tta.harness import SOLVER_COUNTERS, grid_search, synthetic_family
 from lame_tta.streams import (
     Dataset,
@@ -309,7 +311,7 @@ def test_correct_empty_container_writes_header_only(tmp_path):
     assert json.loads((out / "diagnostics.json").read_text()) == []
 
 
-CORRECT_TIMINGS = {"load_s", "affinity_s", "solve_s", "csv_s"}
+CORRECT_TIMINGS = {"load_s", "affinity_s", "solve_s", "csv_s", "csv_wait_s"}
 
 
 def test_correct_timings_json_leaves_the_other_outputs_alone(tmp_path):
@@ -383,6 +385,108 @@ def test_correct_failure_into_a_reused_out_leaves_no_outputs(tmp_path, capsys):
         assert main(args + ["--input", str(failing)]) == code
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+# five batches of 16 rows, written by the writer thread while the next is solved
+PIPELINE_ARGS = ["correct", "--kernel", "knn", "--k", "3", "--batch-size", "16"]
+
+
+def test_correct_solve_error_during_a_write_exits_1_and_joins_the_writer(
+    tmp_path, capsys, monkeypatch
+):
+    inp = make_embedding_file(tmp_path, N=80, K=3)
+    out = tmp_path / "out"
+    writing, released = threading.Event(), threading.Event()
+    solved, in_flight, overlapped = [], [], []
+    write_rows, solve = csvrows.write_rows, cli.lame_correct
+
+    def slow_write(fh, start, Z):
+        if start // 16 == 2:
+            writing.set()
+            # batch 3 is solved while this write waits; then the write goes
+            # on long enough that a writer left unjoined would still run
+            overlapped.append(released.wait(10))
+            time.sleep(0.2)
+        write_rows(fh, start, Z)
+
+    def failing_solve(Q, W):
+        solved.append(len(solved))
+        if solved[-1] == 3:
+            assert writing.wait(10)
+            in_flight.append(not released.is_set())
+            released.set()
+            raise ValueError("batch 3 does not solve")
+        return solve(Q, W)
+
+    monkeypatch.setattr(csvrows, "write_rows", slow_write)
+    monkeypatch.setattr(cli, "lame_correct", failing_solve)
+    threads = threading.active_count()
+    assert main_bounded(PIPELINE_ARGS + ["--input", str(inp), "--out", str(out)]) == 1
+    assert "batch 3 does not solve" in capsys.readouterr().err
+    assert in_flight == overlapped == [True]
+    assert solved == [0, 1, 2, 3]
+    assert list(out.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_correct_write_error_exits_2_after_one_more_solve(tmp_path, capsys, monkeypatch):
+    inp = make_embedding_file(tmp_path, N=80, K=3)
+    out = tmp_path / "out"
+    solved = []
+    write_rows, solve = csvrows.write_rows, cli.lame_correct
+
+    def failing_write(fh, start, Z):
+        if start // 16 == 2:
+            raise OSError("disk full on batch 2")
+        write_rows(fh, start, Z)
+
+    def counted_solve(Q, W):
+        solved.append(len(solved))
+        return solve(Q, W)
+
+    monkeypatch.setattr(csvrows, "write_rows", failing_write)
+    monkeypatch.setattr(cli, "lame_correct", counted_solve)
+    threads = threading.active_count()
+    assert main_bounded(PIPELINE_ARGS + ["--input", str(inp), "--out", str(out)]) == 2
+    assert "disk full on batch 2" in capsys.readouterr().err
+    # batch 3 was solved while batch 2 was written; batch 4 never is
+    assert solved == [0, 1, 2, 3]
+    assert list(out.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("slow", ["writer", "solve"])
+def test_correct_csv_equals_sequential_writes_whichever_side_is_slow(
+    tmp_path, monkeypatch, slow
+):
+    inp = make_embedding_file(tmp_path, N=WIDE_ROWS, K=WIDE_K, d=8)
+    data = load_embeddings(inp)
+    probs = softmax_rows(data.logits)
+    kernel = KernelSpec("knn", 3)
+    expected = io.BytesIO()
+    csvrows.write_header(expected, WIDE_K)
+    for start in range(0, WIDE_ROWS, 32):
+        sl = slice(start, start + 32)
+        Z, _ = lame_correct(probs[sl], batch_affinity(kernel, data.features[sl]))
+        csvrows.write_rows(expected, start, Z)
+
+    target, name = (csvrows, "write_rows") if slow == "writer" else (cli, "lame_correct")
+    fn = getattr(target, name)
+
+    def slowed(*args):
+        time.sleep(0.02)
+        return fn(*args)
+
+    monkeypatch.setattr(target, name, slowed)
+    out = tmp_path / "out"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the two threads trade the interpreter often
+    try:
+        assert main_bounded(["correct", "--input", str(inp), "--kernel", "knn", "--k", "3",
+                             "--batch-size", "32", "--out", str(out)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert (out / "corrected.csv").read_bytes() == expected.getvalue()
 
 
 def test_correct_overflowing_features_exit_1_without_csv(tmp_path, capsys):

@@ -71,7 +71,7 @@ def test_snapshot_outputs_script_is_byte_identical_across_runs(tmp_path):
     assert [name for name in a if a[name] != b[name]] == []
     codes = dict(line.split() for line in a["exit_codes.txt"].decode().splitlines())
     failing = {"sweep_repeated_size", "toy2d_repeated_seed", "simulate_repeated_param",
-               "correct_reused_coincident"}
+               "correct_reused_coincident", "correct_late_coincident"}
     assert {name for name, code in codes.items() if code != "0"} == failing
     assert set(codes.values()) == {"0", "1"}
     for name in ("grid_shot_im/grid_results.csv", "matrix_lame/matrix.csv",
@@ -80,3 +80,5 @@ def test_snapshot_outputs_script_is_byte_identical_across_runs(tmp_path):
         assert name in a
     # the failed run into correct_reused/ removed the good run's outputs
     assert not [name for name in a if name.startswith("correct_reused/")]
+    # so did the run that failed on its third batch, after two were written
+    assert not [name for name in a if name.startswith("correct_late_coincident/")]
