@@ -82,6 +82,8 @@ RUNS = [
      ["correct", "--input", "late_coincident.lame.bin", "--kernel", "rbf", "--k", "3",
       "--batch-size", "32"]),
     ("toy2d", [*TOY2D, "--lrs", "0.01,0.1", "--seeds", "0,1"]),
+    # a listed lr 0 is also the baseline, run once
+    ("toy2d_zero_lr", [*TOY2D, "--lrs", "0,0.1", "--seeds", "0,1"]),
     ("sweep", ["sweep", "--config", "family.cfg", "--sizes", "1,8,16", "--workers", "2"]),
     *(
         (f"grid_{kind}", ["grid", "--config", "family.cfg", "--method", kind, "--workers", "2"])

@@ -18,6 +18,7 @@ from .harness import (
     Scenario,
     aggregate_report,
     batch_size_sweep,
+    collapse_demo,
     cross_shift_matrix,
     default_grid,
     grid_search,
@@ -50,7 +51,6 @@ from .toy import (
     AdaptConfig,
     RunningStats,
     ToyModel,
-    collapse_demo,
     entropy_min_step,
     pseudo_label_step,
     shot_im_step,

@@ -34,6 +34,7 @@ from .harness import (
     Scenario,
     aggregate_report,
     batch_size_sweep,
+    collapse_demo,
     csv_text,
     grid_search,
     matrix_from_rows,
@@ -53,7 +54,6 @@ from .streams import (
     source_probs,
     stream_order,
 )
-from .toy import collapse_demo
 
 
 # header of the plot-data series files

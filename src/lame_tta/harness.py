@@ -1,5 +1,8 @@
 """Online evaluation loop, grids, cross-shift transfer matrices, reports.
 
+One loop, :func:`_online`, steps every method through a stream; both
+:func:`run_online` and :func:`collapse_demo` consume it.
+
 The harness treats (scenario x method x seed) runs as independent jobs:
 every run rebuilds its stream from the seed, processes batches in order
 while predicting and adapting simultaneously, and records per-batch
@@ -19,7 +22,8 @@ import numpy as np
 from .affinity import KernelSpec, batch_affinity
 from .solver import lame_correct
 from .streams import Batch, ScenarioSpec, SyntheticConfig, load_source, make_stream
-from .toy import STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, blend_stats, toy_predict
+from .toy import (STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, _entropy, blend_stats,
+                  toy_predict)
 
 METHOD_KINDS = ("baseline", "lame", "entropy_min", "pseudo_label", "shot_im", "restandardize_only")
 NAM_KINDS = ("entropy_min", "pseudo_label", "shot_im")
@@ -189,14 +193,15 @@ def _validate_stream(stream: list[Batch]) -> tuple[int, int]:
     return d, K
 
 
-def run_online(
+def _online(
     stream: list[Batch],
     method: MethodSpec,
-    seed: int = 0,
-    scenario_id: str = "",
-    source: tuple[ToyModel, RunningStats] | None = None,
-) -> RunResult:
-    """Process a stream in order, adapting and predicting per batch.
+    source: tuple[ToyModel, RunningStats] | None,
+    timings: dict[str, float],
+):
+    """Step ``method`` through ``stream`` in order, adding each stage's wall
+    time to ``timings``. Yields each batch, its predicted probabilities
+    (LAME's Z), their argmax and LAME's ``SolveDiagnostics`` (else None).
 
     The three timing stages split the per-batch work. For baseline and
     lame, ``forward_emulation`` materializes the source probabilities,
@@ -216,13 +221,8 @@ def run_online(
         if model.feature_dim != d or model.class_count != K:
             raise ValueError("source model dimensions disagree with the stream")
         velocity = None
-
-    timings = dict.fromkeys(STAGES, 0.0)
-    preds_per_batch: list[np.ndarray] = []
-    accs: list[float] = []
-    correct = 0
-    total = 0
-    solver_iterations = nonconverged = nonmonotone = 0
+        step = STEP_FUNCTIONS.get(method.kind)
+    diag = None
 
     for batch in stream:
         X = batch.features
@@ -236,26 +236,44 @@ def run_online(
             Q = np.asarray(batch.probs)
             timings["forward_emulation"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            Z, diag = lame_correct(Q, batch_affinity(method.kernel, X))
-            solver_iterations += diag.iterations
-            nonconverged += not diag.converged
-            nonmonotone += not diag.monotone
-            preds = np.argmax(Z, axis=1)
+            Q, diag = lame_correct(Q, batch_affinity(method.kernel, X))
+            preds = np.argmax(Q, axis=1)
             timings["optimization"] += time.perf_counter() - t0
         else:
             t0 = time.perf_counter()
             stats = blend_stats(stats, X, method.adapt.stat_momentum)
             timings["forward_emulation"] += time.perf_counter() - t0
-            step = STEP_FUNCTIONS.get(method.kind)
             if step is not None:
                 t0 = time.perf_counter()
                 model, velocity = step(model, X, method.adapt, stats, velocity)
                 timings["optimization"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            Q, _ = toy_predict(model, X, stats, 0.0)
+            Q = toy_predict(model, X, stats)
             preds = np.argmax(Q, axis=1)
             timings["second_forward"] += time.perf_counter() - t0
+        yield batch, Q, preds, diag
 
+
+def run_online(
+    stream: list[Batch],
+    method: MethodSpec,
+    seed: int = 0,
+    scenario_id: str = "",
+    source: tuple[ToyModel, RunningStats] | None = None,
+) -> RunResult:
+    """Score :func:`_online`'s predictions of each batch against its
+    labels; the adapted methods start from ``source``."""
+    timings = dict.fromkeys(STAGES, 0.0)
+    preds_per_batch: list[np.ndarray] = []
+    accs: list[float] = []
+    correct = total = 0
+    solver_iterations = nonconverged = nonmonotone = 0
+
+    for batch, _, preds, diag in _online(stream, method, source, timings):
+        if diag is not None:
+            solver_iterations += diag.iterations
+            nonconverged += not diag.converged
+            nonmonotone += not diag.monotone
         preds_per_batch.append(preds)
         hits = int((preds == batch.labels).sum())
         correct += hits
@@ -276,6 +294,34 @@ def run_online(
         nonconverged_batches=nonconverged,
         nonmonotone_batches=nonmonotone,
     )
+
+
+def collapse_demo(
+    lr_values: list[float],
+    stream: list[Batch],
+    model: ToyModel,
+    stats: RunningStats,
+) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+    """Online entropy minimization over a stream, once per distinct lr, run
+    as :func:`run_online` runs it. Returns {lr: (entropy_series,
+    accuracy_series)}: each batch's mean prediction entropy and the
+    cumulative online accuracy."""
+    out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    for lr in dict.fromkeys(map(float, lr_values)):
+        # plain heavy-ball on the affine pre-transform with the source
+        # statistics throughout exposes the failure mode most clearly, and
+        # lr=0 reproduces the frozen model exactly
+        method = MethodSpec("entropy_min", adapt=AdaptConfig(lr, momentum=0.9))
+        correct = total = 0
+        ent_series, acc_series = [], []
+        timings = dict.fromkeys(STAGES, 0.0)
+        for batch, Q, preds, _ in _online(stream, method, (model, stats), timings):
+            correct += int((preds == batch.labels).sum())
+            total += len(batch)
+            ent_series.append(float(_entropy(Q)[0].mean()))
+            acc_series.append(correct / total)
+        out[lr] = (np.array(ent_series), np.array(acc_series))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,18 @@ forward for its loss and analytic gradients, then one plain SGD update
 (optional heavy-ball momentum) over the parameters that the chosen
 partition's mask in :data:`PARTITIONS` selects. The heavy-ball state is a
 tuple of arrays in :data:`PARAM_NAMES` order.
+
+:func:`toy_predict` only reads the statistics it is given; :func:`blend_stats`
+moves them toward a batch. The online loop over these, and the collapse curve
+drawn from it, are in :mod:`lame_tta.harness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .streams import Batch
 
 VAR_EPS = 1e-5
 
@@ -126,21 +126,14 @@ def toy_scores(model: ToyModel, X: np.ndarray, stats: RunningStats) -> np.ndarra
     return _head(model, np.asarray(X, dtype=float), stats)[0]
 
 
-def toy_predict(
-    model: ToyModel, X: np.ndarray, stats: RunningStats, stat_momentum: float = 0.0
-) -> tuple[np.ndarray, RunningStats]:
-    """Class probabilities for a batch, plus the updated running stats.
-
-    ``stat_momentum`` 0 standardizes with the given stats only, 1 with the
-    current batch only, intermediate values blend smoothly. Zero batch
-    variance is epsilon-floored, never an error.
-    """
+def toy_predict(model: ToyModel, X: np.ndarray, stats: RunningStats) -> np.ndarray:
+    """Class probabilities for a batch, standardized with ``stats``
+    (:func:`blend_stats` moves them toward a batch). Zero variance is
+    epsilon-floored, never an error."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise ValueError(f"X must be (N, {model.feature_dim})")
-    new_stats = blend_stats(stats, X, stat_momentum)
-    Q, _, _ = _forward(model, X, new_stats)
-    return Q, new_stats
+    return _forward(model, X, stats)[0]
 
 
 def _safe_log(Q: np.ndarray) -> np.ndarray:
@@ -242,46 +235,3 @@ STEP_FUNCTIONS = {kind: partial(adapt_step, loss) for kind, loss in LOSS_FUNCTIO
 entropy_min_step = STEP_FUNCTIONS["entropy_min"]
 pseudo_label_step = STEP_FUNCTIONS["pseudo_label"]
 shot_im_step = STEP_FUNCTIONS["shot_im"]
-
-
-def collapse_demo(
-    lr_values: Sequence[float],
-    stream: "Sequence[Batch]",
-    model: ToyModel,
-    stats: RunningStats,
-) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Online entropy minimization per learning rate over a batch stream.
-
-    For each lr, runs one adaptation step then re-predicts on every batch
-    in order, recording the batch's mean prediction entropy and the
-    cumulative online accuracy. Returns {lr: (entropy_series, accuracy_series)}.
-    """
-    batches = list(stream)
-    if not batches:
-        raise ValueError("empty stream")
-    out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for lr in lr_values:
-        # plain heavy-ball on the affine pre-transform with the source
-        # statistics throughout exposes the failure mode most clearly, and
-        # lr=0 reproduces the frozen model exactly
-        cfg = AdaptConfig(lr=float(lr), momentum=0.9)
-        current = model
-        velocity = None
-        correct = 0
-        total = 0
-        ent_series = []
-        acc_series = []
-        for batch in batches:
-            if batch.labels is None:
-                raise ValueError("collapse demo needs labeled batches")
-            X = batch.features
-            current, velocity = entropy_min_step(current, X, cfg, stats, velocity)
-            Q, _ = toy_predict(current, X, stats, 0.0)
-            preds = Q.argmax(axis=1)
-            correct += int((preds == batch.labels).sum())
-            total += len(preds)
-            logQ = _safe_log(Q)
-            ent_series.append(float(-(Q * logQ).sum(axis=1).mean()))
-            acc_series.append(correct / total)
-        out[float(lr)] = (np.array(ent_series), np.array(acc_series))
-    return out

@@ -15,6 +15,7 @@ from lame_tta.harness import (
     MethodSpec,
     baseline_spec,
     batch_size_sweep,
+    collapse_demo,
     cross_shift_matrix,
     grid_search,
     run_grid_jobs,
@@ -37,7 +38,6 @@ from lame_tta.toy import (
     AdaptConfig,
     RunningStats,
     ToyModel,
-    collapse_demo,
 )
 
 from oracles import grid_oracle_two_by_two, random_cosine_instance

@@ -733,6 +733,26 @@ def test_toy2d_outputs(tmp_path):
             float(line.split(",")[1])
 
 
+def test_toy2d_steps_a_listed_zero_lr_once(tmp_path, monkeypatch):
+    # lr 0 is also the baseline; listing it must not run it a second time
+    from lame_tta import toy
+
+    calls = []
+    step = toy.STEP_FUNCTIONS["entropy_min"]
+
+    def counting_step(*args):
+        calls.append(args[2].lr)
+        return step(*args)
+
+    monkeypatch.setitem(toy.STEP_FUNCTIONS, "entropy_min", counting_step)
+    out = tmp_path / "toy"
+    assert main(["toy2d", "--lrs", "0,0.1", "--seeds", "0,1", "--batches", "5",
+                 "--batch-size", "8", "--out", str(out)]) == 0
+    assert sorted(calls) == [0.0] * 10 + [0.1] * 10
+    assert (out / "toy2d_accuracy_lr0.csv").read_bytes() == (
+        out / "toy2d_accuracy_baseline.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -792,6 +812,20 @@ def test_readme_cli_section_names_every_option():
         for option in action.option_strings
         # --k must not count as named by --kernel
         if not re.search(re.escape(option) + r"(?![\w-])", section)
+    ]
+    assert missing == []
+
+
+def test_readme_library_table_names_every_public_export():
+    import lame_tta
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    missing = [
+        name for name in lame_tta.__all__
+        if not isinstance(getattr(lame_tta, name), type(lame_tta))
+        and not re.search("`" + re.escape(name) + r"\b", table)
     ]
     assert missing == []
 

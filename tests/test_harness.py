@@ -139,16 +139,14 @@ def test_nam_runs_record_second_forward_time():
 
 
 def test_adapted_runs_match_reference_bitwise(monkeypatch):
-    # the running statistics come from blend_stats alone, not from a full
-    # prediction whose probabilities are dropped; every re-predicted
-    # probability must keep its bits
+    # every re-predicted probability must keep the reference's bits
     stream, source = scenario("D").build(4)
     predicted = []
 
     def recording_predict(*args):
-        Q, stats = toy.toy_predict(*args)
+        Q = toy.toy_predict(*args)
         predicted.append(Q)
-        return Q, stats
+        return Q
 
     monkeypatch.setattr(harness, "toy_predict", recording_predict)
     for kind, lr, momentum, stat_momentum, partition in itertools.product(

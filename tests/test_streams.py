@@ -34,7 +34,7 @@ def small_cfg(**kw):
 
 
 def accuracy(model, stats, X, labels):
-    probs, _ = toy_predict(model, X, stats, 0.0)
+    probs = toy_predict(model, X, stats)
     return float((probs.argmax(axis=1) == labels).mean())
 
 
@@ -56,7 +56,7 @@ def test_generate_synthetic_no_shift_identity():
     # so dataset accuracy equals the model's unshifted accuracy exactly
     acc = accuracy(model, stats, data.features, data.labels)
     assert acc > 0.6
-    probs, _ = toy_predict(model, data.features, stats, 0.0)
+    probs = toy_predict(model, data.features, stats)
     assert np.array_equal(probs.argmax(axis=1), data.logits.argmax(axis=1))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lame_tta.harness import MethodSpec, collapse_demo, run_online
 from lame_tta.streams import ScenarioSpec, generate_toy2d, make_stream
 from lame_tta.toy import (
     LOSS_FUNCTIONS,
@@ -10,7 +11,6 @@ from lame_tta.toy import (
     RunningStats,
     ToyModel,
     blend_stats,
-    collapse_demo,
     entropy_min_loss,
     entropy_min_step,
     pseudo_label_step,
@@ -71,13 +71,12 @@ def test_toy_predict_identity_configuration():
     X, model, stats = random_setup(0)
     d = X.shape[1]
     model = ToyModel(np.ones(d), np.zeros(d), model.head_weights, model.head_bias)
-    probs, new_stats = toy_predict(model, X, stats, 0.0)
+    probs = toy_predict(model, X, stats)
     xhat = (X - stats.mean) / np.sqrt(stats.var + 1e-5)
     U = xhat @ model.head_weights.T + model.head_bias
     expected = np.exp(U - U.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
     assert np.allclose(probs, expected, atol=1e-15)
-    assert new_stats is stats or np.array_equal(new_stats.mean, stats.mean)
 
 
 def test_toy_predict_degenerate_batch_uses_head_bias():
@@ -85,7 +84,7 @@ def test_toy_predict_degenerate_batch_uses_head_bias():
     d = X.shape[1]
     model = ToyModel(np.ones(d), np.zeros(d), model.head_weights, model.head_bias)
     Xrep = np.tile(X[0], (5, 1))
-    probs, _ = toy_predict(model, Xrep, stats, 1.0)
+    probs = toy_predict(model, Xrep, blend_stats(stats, Xrep, 1.0))
     b = model.head_bias
     expected = np.exp(b - b.max())
     expected /= expected.sum()
@@ -198,11 +197,30 @@ def test_collapse_demo_zero_lr_is_frozen_baseline():
     total = 0
     expected = []
     for batch in stream:
-        probs, _ = toy_predict(model, batch.features, stats, 0.0)
+        probs = toy_predict(model, batch.features, stats)
         correct += int((probs.argmax(axis=1) == batch.labels).sum())
         total += len(batch)
         expected.append(correct / total)
     assert np.array_equal(acc, expected)
+
+
+@pytest.mark.parametrize("lr", [0.0, 0.1])
+def test_collapse_demo_accuracy_is_run_onlines(lr):
+    # the curve and the grid step a stream through the same loop
+    stream, model, stats = toy2d_stream(3, n=320)
+    _, acc = collapse_demo([lr], stream, model, stats)[lr]
+    spec = MethodSpec("entropy_min", adapt=AdaptConfig(lr, momentum=0.9))
+    res = run_online(stream, spec, 3, "toy2d", (model, stats))
+    hits = [int((p == b.labels).sum()) for p, b in zip(res.batch_predictions, stream)]
+    sizes = [len(b) for b in stream]
+    assert np.array_equal(acc, np.cumsum(hits) / np.cumsum(sizes))
+
+
+def test_collapse_demo_rejects_a_source_of_another_dimension():
+    stream, model, stats = toy2d_stream(4, n=64)
+    wide = ToyModel(np.ones(3), np.zeros(3), np.ones((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match="source model dimensions disagree"):
+        collapse_demo([0.1], stream, wide, RunningStats(np.zeros(3), np.ones(3)))
 
 
 def test_collapse_demo_shapes_and_finiteness():
