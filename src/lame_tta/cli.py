@@ -16,10 +16,8 @@ import functools
 import json
 import os
 import sys
-import threading
 from dataclasses import asdict
 from pathlib import Path
-from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
@@ -139,61 +137,50 @@ def _correct(args, out: Path) -> None:
     timings = {"load_s": perf_counter() - t0, "affinity_s": 0.0, "solve_s": 0.0,
                "csv_s": 0.0, "csv_wait_s": 0.0}
 
-    # one writer thread formats and appends each solved batch while the
-    # next one is solved; it is handed a batch only once the one before is
-    # written, so batches land in file order, and it is joined before the
-    # file closes. Every batch in `diagnostics` went to the writer.
+    # a one-worker pool formats and appends each solved batch while the
+    # next one is solved. Before each submit, and after the last, the
+    # solving thread awaits the previous write: at most one batch is in
+    # flight, batches land in file order, and a failed write re-raises
+    # here. The pool shuts down before the file closes. Every batch in
+    # `diagnostics` was submitted.
+    from concurrent.futures import ThreadPoolExecutor
+
     diagnostics = []
-    batches, written = SimpleQueue(), SimpleQueue()
+    written = None
 
     def wait() -> None:
         t = perf_counter()
-        busy = written.get()
+        busy = written.result()
         timings["csv_wait_s"] += perf_counter() - t
-        if isinstance(busy, BaseException):
-            raise busy
         timings["csv_s"] += busy
 
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corrected.csv", "wb") as fh:
+    with open(out / "corrected.csv", "wb") as fh, ThreadPoolExecutor(max_workers=1) as pool:
         csvrows.write_header(fh, probs.shape[1])
-        writer = threading.Thread(target=_write_batches, args=(fh, batches, written))
-        writer.start()
-        try:
-            for start in range(0, len(probs), args.batch_size):
-                sl = slice(start, start + args.batch_size)
-                t1 = perf_counter()
-                W = batch_affinity(kernel, data.features[sl])
-                t2 = perf_counter()
-                Z, diag = lame_correct(probs[sl], W)
-                timings["affinity_s"] += t2 - t1
-                timings["solve_s"] += perf_counter() - t2
-                if diagnostics:
-                    wait()
-                batches.put((start, Z))
-                diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
-            if diagnostics:
+        for start in range(0, len(probs), args.batch_size):
+            sl = slice(start, start + args.batch_size)
+            t1 = perf_counter()
+            W = batch_affinity(kernel, data.features[sl])
+            t2 = perf_counter()
+            Z, diag = lame_correct(probs[sl], W)
+            timings["affinity_s"] += t2 - t1
+            timings["solve_s"] += perf_counter() - t2
+            if written is not None:
                 wait()
-        finally:
-            batches.put(None)
-            writer.join()
+            written = pool.submit(_write_batch, fh, start, Z)
+            diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
+        if written is not None:
+            wait()
     _write_json(out / "diagnostics.json", diagnostics)
     _write_json(out / "timings.json", timings)
     _write_manifest(args, None)
 
 
-def _write_batches(fh, batches: SimpleQueue, written: SimpleQueue) -> None:
-    """The writer thread of `correct`: it writes each ``(start, Z)`` taken
-    from ``batches`` until ``None`` and puts its busy time on ``written``,
-    or what the write raised, after which it stops."""
-    while (batch := batches.get()) is not None:
-        t = perf_counter()
-        try:
-            csvrows.write_rows(fh, *batch)
-        except BaseException as exc:  # raised by the solving thread
-            written.put(exc)
-            return
-        written.put(perf_counter() - t)
+def _write_batch(fh, start: int, Z: np.ndarray) -> float:
+    """Append the rows of one solved batch of `correct`; its busy time."""
+    t = perf_counter()
+    csvrows.write_rows(fh, start, Z)
+    return perf_counter() - t
 
 
 def cmd_simulate(args) -> None:
@@ -223,10 +210,15 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_toy2d(args) -> None:
+    for flag, value in (("--batches", args.batches), ("--batch-size", args.batch_size)):
+        if value < 1:
+            raise ValueError(f"{flag} must be positive, got {value}")
+    n = args.batches * args.batch_size
+    if n < 2:
+        raise ValueError(f"--batches times --batch-size must be at least 2 samples, got {n}")
     out = Path(args.out)
     lrs = parse_list(args.lrs, float, "--lrs")
     seeds = parse_list(args.seeds, int, "--seeds")
-    n = args.batches * args.batch_size
 
     # per seed, {lr: (entropy series, accuracy series)}; lr 0 is the baseline
     runs = []

@@ -357,8 +357,10 @@ def run_grid_jobs(
 ) -> list[RunResult]:
     """Run every (scenario, seed) job, evaluating all specs on a shared
     stream; results are returned in canonical (scenario, seed, spec) order
-    regardless of scheduling."""
+    regardless of scheduling. The pool has no more workers than jobs, and
+    one job or one worker runs in this process."""
     jobs = [(sc, seed, specs) for sc in scenarios for seed in seeds]
+    workers = min(workers, len(jobs))
     if workers <= 1:
         per_job = [_run_cell(job) for job in jobs]
     else:

@@ -455,6 +455,38 @@ def test_correct_write_error_exits_2_after_one_more_solve(tmp_path, capsys, monk
     assert threading.active_count() == threads
 
 
+def test_correct_write_and_next_solve_both_failing_exit_1(tmp_path, capsys, monkeypatch):
+    inp = make_embedding_file(tmp_path, N=80, K=3)
+    out = tmp_path / "out"
+    solving = threading.Event()
+    solved = []
+    write_rows, solve = csvrows.write_rows, cli.lame_correct
+
+    def failing_write(fh, start, Z):
+        if start // 16 == 2:
+            # fails only once batch 3 is being solved
+            assert solving.wait(10)
+            raise OSError("disk full on batch 2")
+        write_rows(fh, start, Z)
+
+    def failing_solve(Q, W):
+        solved.append(len(solved))
+        if solved[-1] == 3:
+            solving.set()
+            raise ValueError("batch 3 does not solve")
+        return solve(Q, W)
+
+    monkeypatch.setattr(csvrows, "write_rows", failing_write)
+    monkeypatch.setattr(cli, "lame_correct", failing_solve)
+    threads = threading.active_count()
+    assert main_bounded(PIPELINE_ARGS + ["--input", str(inp), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "batch 3 does not solve" in err and "disk full" not in err
+    assert solved == [0, 1, 2, 3]
+    assert list(out.iterdir()) == []
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("slow", ["writer", "solve"])
 def test_correct_csv_equals_sequential_writes_whichever_side_is_slow(
     tmp_path, monkeypatch, slow
@@ -751,6 +783,22 @@ def test_toy2d_steps_a_listed_zero_lr_once(tmp_path, monkeypatch):
     assert sorted(calls) == [0.0] * 10 + [0.1] * 10
     assert (out / "toy2d_accuracy_lr0.csv").read_bytes() == (
         out / "toy2d_accuracy_baseline.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "batches, batch_size, message",
+    [
+        ("0", "16", "--batches must be positive, got 0"),
+        ("4", "-1", "--batch-size must be positive, got -1"),
+        ("1", "1", "--batches times --batch-size must be at least 2 samples, got 1"),
+    ],
+)
+def test_toy2d_bad_stream_size_names_its_flags(tmp_path, capsys, batches, batch_size, message):
+    out = tmp_path / "toy"
+    assert main(["toy2d", "--lrs", "0.1", "--seeds", "0", "--batches", batches,
+                 "--batch-size", batch_size, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

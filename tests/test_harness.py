@@ -218,6 +218,33 @@ def test_grid_search_worker_pool_matches_serial():
     assert results_to_csv(serial.runs) == results_to_csv(parallel.runs)
 
 
+def test_grid_jobs_pool_is_capped_at_the_cells(monkeypatch):
+    import concurrent.futures
+
+    built = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cells = [scenario("A"), scenario("B")]
+    two = run_grid_jobs(cells, [baseline_spec()], [0], workers=8)
+    assert built == [2]
+    one = run_grid_jobs(cells[:1], [baseline_spec()], [0], workers=8)
+    assert built == [2]
+    assert results_to_csv(two[:1]) == results_to_csv(one)
+
+
 def test_grid_search_failing_cell_identified():
     bad = Scenario("X", ScenarioSpec(source="/nonexistent.bin", batch_size=4))
     with pytest.raises(Exception, match="scenario=X"):
