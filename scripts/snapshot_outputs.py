@@ -68,6 +68,9 @@ RUNS = [
     ),
     ("correct_mapped",
      ["correct", "--input", "data.lame.bin", "--mapping", "mapping.tsv", "--batch-size", "40"]),
+    # 120 rows in batches of 17: the last batch holds one row
+    ("correct_one_row_tail",
+     ["correct", "--input", "data.lame.bin", "--batch-size", "17"]),
     # corrected.csv in chunks of a few rows, and of one row each
     ("correct_wide", ["correct", "--input", "wide.lame.bin", "--batch-size", "32"]),
     ("correct_wider", ["correct", "--input", "wider.lame.bin", "--batch-size", "32"]),

@@ -4,12 +4,7 @@ built around it."""
 
 __version__ = "0.1.0"
 
-from .affinity import (
-    KernelSpec,
-    knn_affinity,
-    linear_affinity,
-    rbf_affinity,
-)
+from .affinity import KernelSpec
 from .harness import (
     CrossShiftMatrix,
     GridSearchResult,
@@ -29,7 +24,6 @@ from .mapping import ClassMapping, parse_mapping, pool_average
 from .numerics import softmax_rows
 from .solver import (
     SolveDiagnostics,
-    SolverConfig,
     cccp_step,
     clamp_probs,
     lame_correct,

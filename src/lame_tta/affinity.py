@@ -4,12 +4,13 @@ Three kernels: a k-nearest-neighbour indicator (symmetrized), a cosine
 linear kernel, and an RBF kernel whose bandwidth is the mean
 distance of each point to its k-th neighbour. All of them exclude
 self-affinity (zero diagonal) and return exactly symmetric matrices.
+:meth:`KernelSpec.build` is the one way to build a batch's W.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,23 +37,20 @@ class KernelSpec:
             raise ValueError("k must be >= 1")
 
     def build(self, features: np.ndarray) -> np.ndarray:
+        """The affinity of one batch, with k clipped to N - 1, built
+        :func:`~lame_tta.numerics.in_canonical_layout` of its rows. A batch
+        of fewer than two rows gets the all-zero W (the solve then returns
+        the source probabilities)."""
+        n = len(features)
+        if n < 2:
+            return np.zeros((n, n))
+        X = _check_features(features)
         if self.kind == "linear":
-            return linear_affinity(features)
-        if self.kind == "knn":
-            return knn_affinity(features, self.k)
-        return rbf_affinity(features, self.k)
-
-
-def batch_affinity(kernel: KernelSpec, features: np.ndarray) -> np.ndarray:
-    """The affinity of one batch: ``kernel`` with k clipped to N - 1, and an
-    all-zero W (the solve then returns the source probabilities) when the
-    batch has fewer than two rows."""
-    n = len(features)
-    if n < 2:
-        return np.zeros((n, n))
-    if kernel.k > n - 1:
-        kernel = replace(kernel, k=n - 1)
-    return kernel.build(features)
+            norms = np.linalg.norm(X, axis=1, keepdims=True)
+            if np.any(norms == 0):
+                raise ValueError("cannot L2-normalize a zero feature row")
+            return in_canonical_layout(_cosine, X / norms)
+        return in_canonical_layout(_knn if self.kind == "knn" else _rbf, X, min(self.k, n - 1))
 
 
 def validate_affinity(W: np.ndarray) -> None:
@@ -74,10 +72,10 @@ def validate_affinity(W: np.ndarray) -> None:
         raise ValueError("affinity matrix must have a zero diagonal")
 
 
-def _check_features(features: np.ndarray, k: int | None = None) -> np.ndarray:
+def _check_features(features: np.ndarray) -> np.ndarray:
     X = np.asarray(features, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("affinity kernels need an (N, d) matrix with N >= 2")
+    if X.ndim != 2:
+        raise ValueError("affinity kernels need an (N, d) matrix")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
     # a squared distance is at most 4 max ||x_i||^2: past the float range,
@@ -86,13 +84,10 @@ def _check_features(features: np.ndarray, k: int | None = None) -> np.ndarray:
         reach = 4.0 * np.max(np.einsum("ij,ij->i", X, X))
     if not math.isfinite(reach):
         raise ValueError("features too large: squared distances overflow")
-    N = X.shape[0]
-    if k is not None and not 1 <= k <= N - 1:
-        raise ValueError(f"k={k} out of range for N={N} (need 1 <= k <= N-1)")
     return X
 
 
-def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
+def _knn(X: np.ndarray, k: int) -> np.ndarray:
     """Symmetrized k-nearest-neighbour indicator affinity.
 
     The directed indicator a_ij = 1 iff j is among the k nearest
@@ -102,10 +97,6 @@ def knn_affinity(features: np.ndarray, k: int) -> np.ndarray:
     (A + A^T)/2, so entries are 0, 0.5 (one-sided) or 1 (mutual
     neighbours).
     """
-    return in_canonical_layout(_knn, _check_features(features, k), k)
-
-
-def _knn(X: np.ndarray, k: int) -> np.ndarray:
     # in the canonical layout, a stable argsort breaks ties canonically
     N = X.shape[0]
     D = sq_distances(X)
@@ -116,27 +107,16 @@ def _knn(X: np.ndarray, k: int) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def linear_affinity(features: np.ndarray) -> np.ndarray:
-    """Cosine affinity w_ij = x_i^T x_j / (||x_i|| ||x_j||) in [-1, 1],
-    diagonal zeroed; a zero feature row is an error. Built
-    :func:`~lame_tta.numerics.in_canonical_layout` of the normalized rows,
-    so W is bitwise permutation-equivariant on distinct rows.
-    """
-    X = _check_features(features)
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise ValueError("cannot L2-normalize a zero feature row")
-    return in_canonical_layout(_cosine, X / norms)
-
-
 def _cosine(X: np.ndarray) -> np.ndarray:
+    """Cosine affinity w_ij = x_i^T x_j in [-1, 1] of L2-normalized rows,
+    diagonal zeroed; bitwise permutation-equivariant on distinct rows."""
     W = X @ X.T
     W = (W + W.T) / 2.0
     np.fill_diagonal(W, 0.0)
     return W
 
 
-def rbf_affinity(features: np.ndarray, k: int) -> np.ndarray:
+def _rbf(X: np.ndarray, k: int) -> np.ndarray:
     """Gaussian affinity with bandwidth set from k-th neighbour distances.
 
     sigma is the mean over points of the Euclidean distance to the k-th
@@ -146,10 +126,6 @@ def rbf_affinity(features: np.ndarray, k: int) -> np.ndarray:
     turned into W in place; coincident points everywhere (sigma = 0) are
     an error.
     """
-    return in_canonical_layout(_rbf, _check_features(features, k), k)
-
-
-def _rbf(X: np.ndarray, k: int) -> np.ndarray:
     N = X.shape[0]
     D = sq_distances(X)
     np.fill_diagonal(D, np.inf)

@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__, csvrows
-from .affinity import KERNEL_KINDS, KernelSpec, batch_affinity
+from .affinity import KERNEL_KINDS, KernelSpec
 from .config import ConfigError, family_from_kv, parse_list, read_config, scenario_from_kv
 from .harness import (
     METHOD_KINDS,
@@ -160,7 +160,7 @@ def _correct(args, out: Path) -> None:
         for start in range(0, len(probs), args.batch_size):
             sl = slice(start, start + args.batch_size)
             t1 = perf_counter()
-            W = batch_affinity(kernel, data.features[sl])
+            W = kernel.build(data.features[sl])
             t2 = perf_counter()
             Z, diag = lame_correct(probs[sl], W)
             timings["affinity_s"] += t2 - t1

@@ -144,10 +144,10 @@ def family_from_kv(kv: dict[str, str]) -> tuple[list[Scenario], list[int]]:
     sharing one source; without ``seeds``, the one default scenario seed."""
     fields = _fields(kv, _FAMILY_FIELDS, "config key")
     seeds = fields.pop("seeds", [ScenarioSpec.seed])
-    scenarios = synthetic_family(**fields)
-    if any(sc.scenario_id in ("C", "D") and sc.spec.prior_shift is None for sc in scenarios):
-        raise ConfigError("prior-shift scenarios need a zipf_s value")
-    return scenarios, seeds
+    try:
+        return synthetic_family(**fields), seeds
+    except ValueError as exc:  # a family the library rejects is a config fault
+        raise ConfigError(str(exc)) from None
 
 
 def read_config(path, overrides: list[str] | None = None) -> dict[str, str]:

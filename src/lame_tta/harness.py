@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affinity import KernelSpec, batch_affinity
+from .affinity import KernelSpec
 from .solver import lame_correct
 from .streams import Batch, ScenarioSpec, SyntheticConfig, load_source, make_stream
 from .toy import (STEP_FUNCTIONS, AdaptConfig, RunningStats, ToyModel, _entropy, blend_stats,
@@ -130,6 +130,8 @@ def synthetic_family(
     for letter in letters:
         if letter not in SCENARIO_LETTERS:
             raise ValueError(f"unknown scenario letter {letter!r}")
+        if letter in ("C", "D") and zipf_s is None:
+            raise ValueError("prior-shift scenarios need a zipf_s value")
         sampling = "iid" if letter in ("A", "C") else "non_iid"
         shift = zipf_s if letter in ("C", "D") else None
         out.append(
@@ -236,7 +238,7 @@ def _online(
             Q = np.asarray(batch.probs)
             timings["forward_emulation"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            Q, diag = lame_correct(Q, batch_affinity(method.kernel, X))
+            Q, diag = lame_correct(Q, method.kernel.build(X))
             preds = np.argmax(Q, axis=1)
             timings["optimization"] += time.perf_counter() - t0
         else:

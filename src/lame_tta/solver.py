@@ -40,20 +40,9 @@ from .affinity import validate_affinity
 from .numerics import PROB_FLOOR, canonical_row_order, inverse_permutation, sorted_rowsums
 
 MONOTONE_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Stopping rule: max-over-rows L1 change below ``tol`` or ``max_iter``."""
-
-    tol: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+# stopping rule: the largest per-row L1 change below TOL, or MAX_ITER updates
+TOL = 1e-8
+MAX_ITER = 100
 
 
 @dataclass
@@ -85,8 +74,12 @@ def clamp_probs(Q: np.ndarray) -> np.ndarray:
 def _check_pair(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> None:
     if Z.shape != Q.shape:
         raise ValueError(f"Z and Q shapes differ: {Z.shape} vs {Q.shape}")
-    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != Z.shape[0]:
-        raise ValueError(f"W must be ({Z.shape[0]}, {Z.shape[0]}), got {W.shape}")
+    _check_square(W, Z.shape[0])
+
+
+def _check_square(W: np.ndarray, n: int) -> None:
+    if W.shape != (n, n):
+        raise ValueError(f"W must be ({n}, {n}), got {W.shape}")
 
 
 def lame_objective(Z: np.ndarray, Q: np.ndarray, W: np.ndarray) -> float:
@@ -178,16 +171,14 @@ def _sample_order(Qc: np.ndarray, W: np.ndarray) -> np.ndarray:
                          np.take_along_axis(W, pairs, 1)])
 
 
-def lame_correct(
-    Q: np.ndarray, W: np.ndarray, cfg: SolverConfig = SolverConfig()
-) -> tuple[np.ndarray, SolveDiagnostics]:
+def lame_correct(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
     """Correct a batch of source probabilities against an affinity matrix.
 
     Initializes at the (clamped) source probabilities and iterates
     :func:`cccp_step` until the largest per-row L1 change drops below
-    ``cfg.tol`` or ``cfg.max_iter`` is reached. Non-convergence is reported
-    through the diagnostics, never raised. The objective trace holds the
-    objective at the initial point and after every iteration.
+    :data:`TOL` or :data:`MAX_ITER` updates are made. Non-convergence is
+    reported through the diagnostics, never raised. The objective trace
+    holds the objective at the initial point and after every iteration.
 
     The solve runs in a layout that depends only on the values of Q and W:
     classes ordered by their value-sorted columns of Q, samples by their Q
@@ -206,8 +197,10 @@ def lame_correct(
         raise ValueError("cannot correct an empty batch (N=0)")
     W = np.asarray(W, dtype=float)
     validate_affinity(W)
-    _check_pair(Qc, Qc, W)
-    classes = canonical_row_order(np.sort(Qc, axis=0).T)
+    _check_square(W, len(Qc))
+    columns = Qc.T.copy()  # C-contiguous: each class's values sort in place
+    columns.sort(axis=1)
+    classes = canonical_row_order(columns)
     Qc = Qc[:, classes]
     samples = _sample_order(Qc, W)
     Z = Qc[samples]
@@ -226,7 +219,7 @@ def lame_correct(
     converged = False
     with np.errstate(divide="ignore", invalid="ignore"):
         trace = [_objective_from_coupling(Z, logQ, E, Z_next)]
-        for _ in range(cfg.max_iter):
+        for _ in range(MAX_ITER):
             _step(logQ, E, Z_next, R)
             np.subtract(Z_next, Z, out=Z)
             np.abs(Z, out=Z)
@@ -235,7 +228,7 @@ def lame_correct(
             trace.append(_objective_from_coupling(Z_next, logQ, E, Z))
             Z, Z_next = Z_next, Z
             iterations += 1
-            if delta < cfg.tol:
+            if delta < TOL:
                 converged = True
                 break
 

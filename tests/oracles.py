@@ -189,17 +189,16 @@ def reference_csv_rows(start, preds, Z):
     )
 
 
-def reference_corrected_csv(probs, features, kernel, batch_size, solver_cfg):
+def reference_corrected_csv(probs, features, kernel, batch_size):
     """``corrected.csv`` as ``lame correct`` wrote it in one process: one
     solve per batch (the package's own), each batch's rows formatted as it
     comes. Only the text is a reference here, not the solve."""
-    from lame_tta.affinity import batch_affinity
     from lame_tta.solver import lame_correct
 
     text = "sample,prediction," + ",".join(f"p{k}" for k in range(probs.shape[1])) + "\n"
     for start in range(0, len(probs), batch_size):
         sl = slice(start, start + batch_size)
-        Z, _ = lame_correct(probs[sl], batch_affinity(kernel, features[sl]), solver_cfg)
+        Z, _ = lame_correct(probs[sl], kernel.build(features[sl]))
         text += reference_csv_rows(start, np.argmax(Z, axis=1), Z)
     return text
 

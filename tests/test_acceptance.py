@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from lame_tta.affinity import KernelSpec, knn_affinity
+from lame_tta.affinity import KernelSpec
 from lame_tta.harness import (
     MethodSpec,
     baseline_spec,
@@ -23,7 +23,7 @@ from lame_tta.harness import (
     synthetic_family,
 )
 from lame_tta.mapping import ClassMapping, pool_average, pool_rows
-from lame_tta.solver import SolverConfig, cccp_step, lame_correct
+from lame_tta.solver import cccp_step, lame_correct
 from lame_tta.streams import (
     Batch,
     ScenarioSpec,
@@ -303,11 +303,11 @@ def test_criterion_11_solver_throughput():
     N, K = 64, 1000
     X = rng.standard_normal((N, 32))
     Q = random_probs(rng, N, K)
-    W = knn_affinity(X, 5)
+    W = KernelSpec("knn", 5).build(X)
     lame_correct(Q, W)  # warm up allocators
     t0 = time.perf_counter()
-    W = knn_affinity(X, 5)
-    Z, diag = lame_correct(Q, W, SolverConfig())
+    W = KernelSpec("knn", 5).build(X)
+    Z, diag = lame_correct(Q, W)
     elapsed = time.perf_counter() - t0
 
     probs = Q

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lame_tta.affinity import (
-    KernelSpec,
-    batch_affinity,
-    knn_affinity,
-    linear_affinity,
-    rbf_affinity,
-    validate_affinity,
-)
+from lame_tta.affinity import KERNEL_KINDS, KernelSpec, validate_affinity
 from lame_tta.numerics import in_canonical_layout, sq_distances
 from oracles import reference_affinity, reference_pairwise_sq_distances
 
@@ -28,20 +21,20 @@ def random_features(seed, N=None, d=None):
 def test_knn_line_example():
     # 1-D points {0, 1, 3}, k=1: 0<->1 mutual, 3->1 one-sided
     X = np.array([[0.0], [1.0], [3.0]])
-    W = knn_affinity(X, 1)
+    W = KernelSpec("knn", 1).build(X)
     assert W[0, 1] == 1.0
     assert W[1, 2] == 0.5
     assert W[0, 2] == 0.0
 
 
 def test_knn_two_points_mutual():
-    W = knn_affinity(np.array([[0.0], [1.0]]), 1)
+    W = KernelSpec("knn", 1).build(np.array([[0.0], [1.0]]))
     assert W[0, 1] == 1.0
 
 
 def test_knn_complete_graph():
     X = random_features(0, N=7)
-    W = knn_affinity(X, 6)
+    W = KernelSpec("knn", 6).build(X)
     expected = 1.0 - np.eye(7)
     assert np.array_equal(W, expected)
 
@@ -49,9 +42,9 @@ def test_knn_complete_graph():
 def test_knn_k_out_of_range():
     X = random_features(1, N=4)
     with pytest.raises(ValueError):
-        knn_affinity(X, 0)
-    with pytest.raises(ValueError):
-        knn_affinity(X, 4)
+        KernelSpec("knn", 0).build(X)
+    # k >= N is clipped to N - 1: the complete graph
+    assert np.array_equal(KernelSpec("knn", 4).build(X), 1.0 - np.eye(4))
 
 
 def test_knn_tie_breaking_canonical_order():
@@ -59,12 +52,12 @@ def test_knn_tie_breaking_canonical_order():
     # first in canonical (byte) row order, [0, 1], whatever the input order,
     # so the 0-1 edge only gets the one-sided half weight from 1's side
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    W = knn_affinity(X, 1)
+    W = KernelSpec("knn", 1).build(X)
     assert W[0, 2] == 1.0
     assert W[0, 1] == 0.5
     assert W[1, 2] == 0.0
     p = [0, 2, 1]
-    assert np.array_equal(knn_affinity(X[p], 1), W[np.ix_(p, p)])
+    assert np.array_equal(KernelSpec("knn", 1).build(X[p]), W[np.ix_(p, p)])
 
 
 def test_knn_permutation_equivariant_on_tied_lattice_distances():
@@ -75,8 +68,8 @@ def test_knn_permutation_equivariant_on_tied_lattice_distances():
         X = np.unique(rng.integers(0, 3, size=(int(rng.integers(6, 16)), 2)), axis=0)
         X = X[rng.permutation(len(X))].astype(float)
         p = rng.permutation(len(X))
-        W = knn_affinity(X, min(3, len(X) - 1))
-        assert np.array_equal(knn_affinity(X[p], min(3, len(X) - 1)), W[np.ix_(p, p)])
+        W = KernelSpec("knn", min(3, len(X) - 1)).build(X)
+        assert np.array_equal(KernelSpec("knn", min(3, len(X) - 1)).build(X[p]), W[np.ix_(p, p)])
 
 
 @pytest.mark.parametrize("kind", ["rbf", "linear"])
@@ -124,17 +117,17 @@ def test_each_kernel_build_orders_its_rows_once(monkeypatch, build):
 
 def test_linear_identical_unit_vectors():
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert linear_affinity(X)[0, 1] == pytest.approx(1.0, abs=1e-15)
+    assert KernelSpec("linear").build(X)[0, 1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_linear_orthogonal():
     X = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert linear_affinity(X)[0, 1] == 0.0
+    assert KernelSpec("linear").build(X)[0, 1] == 0.0
 
 
 def test_linear_matches_bruteforce():
     X = random_features(2, N=3, d=4)
-    W = linear_affinity(X)
+    W = KernelSpec("linear").build(X)
     for i in range(3):
         for j in range(3):
             cosine = np.dot(X[i], X[j]) / (np.linalg.norm(X[i]) * np.linalg.norm(X[j]))
@@ -145,13 +138,13 @@ def test_linear_matches_bruteforce():
 def test_linear_zero_row_with_normalize_errors():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        linear_affinity(X)
+        KernelSpec("linear").build(X)
 
 
 def test_rbf_hand_example():
     # 1-D {0,1,3}, k=1: sigma = (1+1+2)/3 = 4/3
     X = np.array([[0.0], [1.0], [3.0]])
-    W = rbf_affinity(X, 1)
+    W = KernelSpec("rbf", 1).build(X)
     assert W[0, 1] == pytest.approx(math.exp(-9 / 32), rel=1e-12)
     assert W[0, 2] == pytest.approx(math.exp(-81 / 32), rel=1e-12)
     assert W[1, 2] == pytest.approx(math.exp(-36 / 32), rel=1e-12)
@@ -160,14 +153,14 @@ def test_rbf_hand_example():
 def test_rbf_unit_affinity_at_matching_distance():
     # two points: sigma = their distance s, so w = exp(-s^2/(2 s^2)) = exp(-1/2)
     X = np.array([[0.0], [2.0]])
-    W = rbf_affinity(X, 1)
+    W = KernelSpec("rbf", 1).build(X)
     assert W[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
 def test_rbf_coincident_points_error():
     X = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        rbf_affinity(X, 1)
+        KernelSpec("rbf", 1).build(X)
 
 
 @pytest.mark.parametrize("kind", ["knn", "rbf", "linear"])
@@ -191,9 +184,9 @@ def test_all_kernels_symmetric_zero_diag(seed):
     N = X.shape[0]
     k = min(3, N - 1)
     for W, nonneg in (
-        (knn_affinity(X, k), True),
-        (rbf_affinity(X, k), True),
-        (linear_affinity(X), False),
+        (KernelSpec("knn", k).build(X), True),
+        (KernelSpec("rbf", k).build(X), True),
+        (KernelSpec("linear").build(X), False),
     ):
         validate_affinity(W)
         if nonneg:
@@ -206,7 +199,7 @@ def test_all_kernels_symmetric_zero_diag(seed):
 @settings(max_examples=30, deadline=None)
 def test_rbf_entries_in_unit_interval(seed):
     X = random_features(seed)
-    W = rbf_affinity(X, min(2, X.shape[0] - 1))
+    W = KernelSpec("rbf", min(2, X.shape[0] - 1)).build(X)
     off = W[~np.eye(len(W), dtype=bool)]
     assert np.all(off > 0.0) and np.all(off <= 1.0)
 
@@ -215,10 +208,10 @@ def test_rbf_entries_in_unit_interval(seed):
 @settings(max_examples=25, deadline=None)
 def test_cosine_entries_bounded(seed):
     X = random_features(seed)
-    W = linear_affinity(X)
+    W = KernelSpec("linear").build(X)
     assert np.all(W >= -1.0 - 1e-12) and np.all(W <= 1.0 + 1e-12)
     # nonnegative features give nonnegative cosine affinities
-    W2 = linear_affinity(np.abs(X) + 1e-3)
+    W2 = KernelSpec("linear").build(np.abs(X) + 1e-3)
     assert np.all(W2 >= 0.0)
 
 
@@ -226,40 +219,36 @@ def test_rbf_rotation_invariance():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((12, 5))
     Qmat, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    W1 = rbf_affinity(X, 3)
-    W2 = rbf_affinity(X @ Qmat.T, 3)
+    W1 = KernelSpec("rbf", 3).build(X)
+    W2 = KernelSpec("rbf", 3).build(X @ Qmat.T)
     assert np.allclose(W1, W2, atol=1e-9)
 
 
 def test_cosine_gram_is_psd():
     for seed in range(5):
         X = random_features(seed, N=min(64, 8 + seed * 8), d=6)
-        W = linear_affinity(X)
+        W = KernelSpec("linear").build(X)
         eigs = np.linalg.eigvalsh(W + np.eye(len(W)))
         assert eigs.min() >= -1e-10
 
 
 def test_kernel_spec_dispatch():
     X = random_features(4, N=10, d=3)
-    assert np.array_equal(KernelSpec("knn", 2).build(X), knn_affinity(X, 2))
-    assert np.array_equal(KernelSpec("rbf", 2).build(X), rbf_affinity(X, 2))
-    assert np.array_equal(KernelSpec("linear").build(X), linear_affinity(X))
+    for kind in KERNEL_KINDS:
+        assert np.array_equal(KernelSpec(kind, 2).build(X), reference_affinity(kind, X, 2))
     with pytest.raises(ValueError):
         KernelSpec("cubic")
 
 
-def test_batch_affinity_clips_k_and_zeroes_tiny_batches(monkeypatch):
+def test_build_clips_k_and_zeroes_tiny_batches():
     X = random_features(5, N=4, d=3)
-    assert np.array_equal(batch_affinity(KernelSpec("knn", 5), X), knn_affinity(X, 3))
-    assert np.array_equal(batch_affinity(KernelSpec("rbf", 2), X), rbf_affinity(X, 2))
+    for kind in ("knn", "rbf"):
+        assert np.array_equal(KernelSpec(kind, 5).build(X), reference_affinity(kind, X, 3))
     for n in (0, 1):
-        assert np.array_equal(batch_affinity(KernelSpec("knn", 5), X[:n]), np.zeros((n, n)))
-    # a k that already fits builds from the caller's spec, once
-    seen = []
-    monkeypatch.setattr(KernelSpec, "build", lambda self, F: seen.append(self) or 0)
-    spec = KernelSpec("knn", 3)
-    batch_affinity(spec, X)
-    assert len(seen) == 1 and seen[0] is spec
+        for kind in KERNEL_KINDS:
+            assert np.array_equal(KernelSpec(kind, 5).build(X[:n]), np.zeros((n, n)))
+    # the all-zero W comes before any feature check
+    assert np.array_equal(KernelSpec("linear").build(np.full((1, 3), np.nan)), np.zeros((1, 1)))
 
 
 def test_rbf_bandwidth_equals_full_sort_bitwise_on_tied_distances():
@@ -274,11 +263,11 @@ def test_rbf_bandwidth_equals_full_sort_bitwise_on_tied_distances():
         sigma = math.fsum(np.sqrt(np.sort(offdiag, axis=1)[:, k - 1])) / N
         if sigma == 0.0:
             with pytest.raises(ValueError):
-                rbf_affinity(X, k)
+                KernelSpec("rbf", k).build(X)
             continue
         W = np.exp(-D / (2.0 * sigma * sigma))
         np.fill_diagonal(W, 0.0)
-        assert rbf_affinity(X, k).tobytes() == W.tobytes()
+        assert KernelSpec("rbf", k).build(X).tobytes() == W.tobytes()
 
 
 def build_or_error(build):
@@ -304,6 +293,6 @@ def test_in_place_affinity_builds_equal_fresh_array_formulas_bitwise(N):
             assert isinstance(got, bytes), kind
     coincident = np.ones((N, 6))
     with pytest.raises(ValueError, match="rbf bandwidth is zero"):
-        rbf_affinity(coincident, k)
+        KernelSpec("rbf", k).build(coincident)
     with pytest.raises(ValueError, match="rbf bandwidth is zero"):
         reference_affinity("rbf", coincident, k)

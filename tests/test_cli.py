@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lame_tta import cli, csvrows, streams
-from lame_tta.affinity import KernelSpec, batch_affinity
+from lame_tta.affinity import KernelSpec
 from lame_tta.cli import CORRECT_OUTPUTS, MANIFEST_EXCLUDED, build_parser, main
 from lame_tta.config import (
     FAMILY_KEYS,
@@ -26,7 +26,7 @@ from lame_tta.config import (
 )
 from lame_tta.mapping import load_mapping, pool_rows
 from lame_tta.numerics import softmax_rows
-from lame_tta.solver import SolverConfig, lame_correct
+from lame_tta.solver import lame_correct
 from lame_tta.harness import SOLVER_COUNTERS, grid_search, synthetic_family
 from lame_tta.streams import (
     Dataset,
@@ -111,6 +111,16 @@ def test_family_config_shares_scenario_key_checks():
         family_from_kv({"scenarios": "A"})
     with pytest.raises(ConfigError, match="zipf_s"):
         family_from_kv({"source": SMALL_SOURCE, "scenarios": "A,C", "zipf_s": "none"})
+
+
+def test_grid_prior_shift_scenario_without_zipf_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path / "family.cfg",
+                f"source = {SMALL_SOURCE}\nscenarios = A,C\nzipf_s = none\nbatch_size = 16\n")
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--method", "lame", "--workers", "1",
+                 "--out", str(out)]) == 1
+    assert "prior-shift scenarios need a zipf_s value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["scenarios=A,D,A", "seeds=1,0,1"])
@@ -282,7 +292,7 @@ def test_correct_thousand_classes_match_reference(tmp_path, kernel):
     assert set(outputs) == {"corrected.csv", "diagnostics.json", "manifest.json"}
     data = load_embeddings(inp)
     expected = reference_corrected_csv(
-        softmax_rows(data.logits), data.features, KernelSpec(kernel, 3), 64, SolverConfig()
+        softmax_rows(data.logits), data.features, KernelSpec(kernel, 3), 64
     )
     assert outputs["corrected.csv"].decode() == expected
 
@@ -297,9 +307,7 @@ def test_correct_small_output_with_mapping_matches_reference(tmp_path):
     ) == 0
     data = load_embeddings(inp)
     probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=3))
-    expected = reference_corrected_csv(
-        probs, data.features, KernelSpec("knn", 5), 16, SolverConfig()
-    )
+    expected = reference_corrected_csv(probs, data.features, KernelSpec("knn", 5), 16)
     assert (out / "corrected.csv").read_text() == expected
 
 
@@ -340,7 +348,7 @@ def test_correct_ragged_batches_keep_bytes_and_batch_order(tmp_path):
     assert [(d["batch"], d["size"]) for d in diags] == [(0, 48), (1, 48), (2, 48), (3, 16)]
     data = load_embeddings(inp)
     expected = reference_corrected_csv(
-        softmax_rows(data.logits), data.features, KernelSpec("rbf", 3), 48, SolverConfig()
+        softmax_rows(data.logits), data.features, KernelSpec("rbf", 3), 48
     )
     assert outputs["corrected.csv"].decode() == expected
 
@@ -499,7 +507,7 @@ def test_correct_csv_equals_sequential_writes_whichever_side_is_slow(
     csvrows.write_header(expected, WIDE_K)
     for start in range(0, WIDE_ROWS, 32):
         sl = slice(start, start + 32)
-        Z, _ = lame_correct(probs[sl], batch_affinity(kernel, data.features[sl]))
+        Z, _ = lame_correct(probs[sl], kernel.build(data.features[sl]))
         csvrows.write_rows(expected, start, Z)
 
     target, name = (csvrows, "write_rows") if slow == "writer" else (cli, "lame_correct")
@@ -550,9 +558,7 @@ def test_correct_pooled_twenty_thousand_values_match_reference(tmp_path):
     ) == 0
     data = load_embeddings(inp)
     probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=40))
-    expected = reference_corrected_csv(
-        probs, data.features, KernelSpec("rbf", 5), 512, SolverConfig()
-    )
+    expected = reference_corrected_csv(probs, data.features, KernelSpec("rbf", 5), 512)
     assert (out / "corrected.csv").read_text() == expected
 
 
@@ -565,7 +571,7 @@ def test_correct_collapsed_rbf_rows_with_exact_ones_match_reference(tmp_path):
                  "--out", str(out)]) == 0
     data = load_embeddings(inp)
     expected = reference_corrected_csv(
-        softmax_rows(data.logits), data.features, KernelSpec("rbf", 5), 128, SolverConfig()
+        softmax_rows(data.logits), data.features, KernelSpec("rbf", 5), 128
     )
     text = (out / "corrected.csv").read_text()
     assert text == expected
@@ -875,6 +881,32 @@ def test_readme_library_table_names_every_public_export():
         if not isinstance(getattr(lame_tta, name), type(lame_tta))
         and not re.search("`" + re.escape(name) + r"\b", table)
     ]
+    assert missing == []
+
+
+# backticked words of the library table that are not attributes
+README_NON_ATTRIBUTES = {"corrected.csv", "repr", "lame"}
+
+
+def test_readme_library_table_names_only_existing_names():
+    import importlib
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(lame_tta\.\w+)` \|(.*)\|$", section, re.MULTILINE)
+    assert len(rows) >= 9
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]+)`", contents):
+            path = name.split("(", 1)[0]
+            if path in README_NON_ATTRIBUTES:
+                continue
+            target = module
+            for part in path.split("."):
+                target = getattr(target, part, None)
+            if target is None:
+                missing.append(f"{module_name}: {name}")
     assert missing == []
 
 

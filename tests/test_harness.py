@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lame_tta import harness, toy
+from lame_tta import harness, solver, toy
 from lame_tta.affinity import KernelSpec
 from lame_tta.config import family_from_kv
 from lame_tta.harness import (
@@ -23,7 +23,6 @@ from lame_tta.harness import (
     seed_means,
     synthetic_family,
 )
-from lame_tta.solver import SolverConfig, lame_correct
 from lame_tta.streams import Dataset, ScenarioSpec, SyntheticConfig, save_embeddings
 from lame_tta.toy import PARTITIONS, AdaptConfig
 from oracles import reference_adapted_run
@@ -34,6 +33,14 @@ CFG = SyntheticConfig(K=4, d=6, n_per_class=60, cluster_spread=0.3,
 
 def scenario(letter="A", batch_size=16, cfg=CFG):
     return synthetic_family(cfg, batch_size=batch_size, letters=(letter,))[0]
+
+
+def test_prior_shift_scenarios_need_a_zipf_exponent():
+    # without one, C and D would be unlabelled copies of A and B
+    with pytest.raises(ValueError, match="prior-shift scenarios need a zipf_s value"):
+        synthetic_family(CFG, zipf_s=None, letters=("A", "C"))
+    unshifted = synthetic_family(CFG, zipf_s=None, letters=("A", "B"))
+    assert [sc.spec.prior_shift for sc in unshifted] == [None, None]
 
 
 def test_baseline_accuracy_equals_source_accuracy():
@@ -83,8 +90,7 @@ def test_run_online_counts_solver_health(monkeypatch):
     stream, source = scenario("A").build(2)
     lame = MethodSpec("lame", kernel=KernelSpec("knn", 5))
     with monkeypatch.context() as m:
-        m.setattr(harness, "lame_correct",
-                  lambda Q, W: lame_correct(Q, W, SolverConfig(max_iter=1)))
+        m.setattr(solver, "MAX_ITER", 1)
         res = run_online(stream, lame, 2, "A", source)
     assert res.nonconverged_batches == res.n_batches
     assert res.solver_iterations == res.n_batches

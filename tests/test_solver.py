@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lame_tta.affinity import KERNEL_KINDS, KernelSpec, knn_affinity
+from lame_tta import solver
+from lame_tta.affinity import KERNEL_KINDS, KernelSpec
 from lame_tta.numerics import softmax_rows
 from lame_tta.solver import (
-    SolverConfig,
     cccp_step,
     clamp_probs,
     lame_correct,
@@ -152,7 +152,7 @@ def test_knn_traces_monotone_in_practice():
     for _ in range(50):
         N, K = 24, 4
         X = rng.standard_normal((N, 3))
-        W = knn_affinity(X, 5)
+        W = KernelSpec("knn", 5).build(X)
         Q = random_probs(rng, N, K)
         _, diag = lame_correct(Q, W)
         assert diag.monotone
@@ -195,7 +195,7 @@ def test_sample_permutation_equivariance_knn_bitwise():
     rng = np.random.default_rng(8)
     N, K = 40, 7
     X = rng.standard_normal((N, 5))
-    W = knn_affinity(X, 5)
+    W = KernelSpec("knn", 5).build(X)
     Q = random_probs(rng, N, K)
     p = rng.permutation(N)
     Z, _ = lame_correct(Q, W)
@@ -300,25 +300,20 @@ def test_clamp_probs_floors_and_renormalizes():
         clamp_probs(np.array([[np.inf, 1.0]]))
 
 
-def test_nonconvergence_reported_not_raised():
+def test_nonconvergence_reported_not_raised(monkeypatch):
     rng = np.random.default_rng(10)
     Q, W = random_cosine_instance(rng, n_max=24, k_max=6)
-    Z, diag = lame_correct(Q, W, SolverConfig(tol=1e-300, max_iter=3))
+    monkeypatch.setattr(solver, "TOL", 1e-300)
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
+    Z, diag = lame_correct(Q, W)
     assert not diag.converged
     assert diag.iterations == 3
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-
-
-def assert_matches_reference_loop(Q, W, cfg=SolverConfig()):
-    Z, diag = lame_correct(Q, W, cfg)
+def assert_matches_reference_loop(Q, W):
+    Z, diag = lame_correct(Q, W)
     Z_ref, trace, iterations, converged, monotone, delta = reference_lame_loop(
-        Q, W, cfg.tol, cfg.max_iter
+        Q, W, solver.TOL, solver.MAX_ITER
     )
     assert Z.tobytes() == Z_ref.tobytes()
     assert np.array(diag.objective_trace).tobytes() == np.array(trace).tobytes()
@@ -332,7 +327,7 @@ def test_solve_matches_reference_loop_bitwise_on_knn_batches():
     for _ in range(30):
         N, K = int(rng.integers(2, 65)), int(rng.integers(2, 13))
         X = rng.standard_normal((N, 4))
-        W = knn_affinity(X, min(5, N - 1))
+        W = KernelSpec("knn", min(5, N - 1)).build(X)
         assert_matches_reference_loop(random_probs(rng, N, K), W)
 
 
@@ -342,16 +337,17 @@ def test_solve_matches_reference_loop_bitwise_when_z_underflows():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((16, 3))
     Q = rng.dirichlet(np.ones(5), size=16)
-    Z, diag = assert_matches_reference_loop(Q, 1000.0 * knn_affinity(X, 3))
+    Z, diag = assert_matches_reference_loop(Q, 1000.0 * KernelSpec("knn", 3).build(X))
     assert np.any(Z == 0.0)
     assert np.all(np.isfinite(diag.objective_trace))
 
 
-def test_solve_matches_reference_loop_bitwise_when_capped():
+def test_solve_matches_reference_loop_bitwise_when_capped(monkeypatch):
     rng = np.random.default_rng(13)
     X = rng.standard_normal((40, 4))
     Q = random_probs(rng, 40, 6)
-    _, diag = assert_matches_reference_loop(Q, knn_affinity(X, 5), SolverConfig(max_iter=2))
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    _, diag = assert_matches_reference_loop(Q, KernelSpec("knn", 5).build(X))
     assert not diag.converged and diag.iterations == 2
 
 
@@ -374,7 +370,7 @@ def test_clamp_probs_rejects_nan():
 
 def knn_batch(seed=15, N=12, K=4):
     rng = np.random.default_rng(seed)
-    return random_probs(rng, N, K), knn_affinity(rng.standard_normal((N, 3)), 3)
+    return random_probs(rng, N, K), KernelSpec("knn", 3).build(rng.standard_normal((N, 3)))
 
 
 def test_correct_rejects_nan_affinity():
