@@ -5,8 +5,8 @@ Writes a labeled container with task ids, a second container whose
 features are points of the integer lattice {1,2,3}^6 with some rows (and
 their logits) repeated, containers with 1,000 and 10,000 classes, one
 whose rows all coincide, one whose third batch of 32 rows coincides, a
-superclass mapping, and scenario and family configs under --out, then
-runs each subcommand
+superclass mapping and one that lists 4 of 6 classes, and scenario and
+family configs under --out, then runs each subcommand
 in-process from inside that directory with relative paths, one output
 directory per run (two runs share one), and records every run's exit
 code in `exit_codes.txt`. Two snapshots of code with the same outputs then
@@ -34,6 +34,7 @@ SOURCE = "synthetic:K=4,d=6,n_per_class=30,spread=0.3,rotation=0.4,noise=0.25"
 INPUTS = {
     # class 5 is unmapped: its samples leave the mapped stream
     "mapping.tsv": "0\ta\n1\ta\n2\tb\n3\tb\n4\tc\n5\t__null__\n",
+    "mapping_partial.tsv": "0\ta\n1\tb\n2\tb\n3\tc\n",
     "scenario_mapped.cfg": (
         "source = data.lame.bin\nsampling = iid\nzipf_s = 1.0\nbatch_size = 16\n"
         "seed = 1\nmapping = mapping.tsv\n"
@@ -68,6 +69,10 @@ RUNS = [
     ),
     ("correct_mapped",
      ["correct", "--input", "data.lame.bin", "--mapping", "mapping.tsv", "--batch-size", "40"]),
+    # the mapping lists 4 of the 6 classes: `.over` unmaps the other two
+    ("correct_mapped_partial",
+     ["correct", "--input", "data.lame.bin", "--mapping", "mapping_partial.tsv",
+      "--batch-size", "40"]),
     # 120 rows in batches of 17: the last batch holds one row
     ("correct_one_row_tail",
      ["correct", "--input", "data.lame.bin", "--batch-size", "17"]),

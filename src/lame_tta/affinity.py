@@ -73,7 +73,7 @@ def validate_affinity(W: np.ndarray) -> None:
 
 
 def _check_features(features: np.ndarray) -> np.ndarray:
-    X = np.asarray(features, dtype=float)
+    X = np.ascontiguousarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("affinity kernels need an (N, d) matrix")
     if not np.all(np.isfinite(X)):

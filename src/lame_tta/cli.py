@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, csvrows
 from .affinity import KERNEL_KINDS, KernelSpec
-from .config import ConfigError, family_from_kv, parse_list, read_config, scenario_from_kv
+from .config import family_from_kv, parse_list, read_config, scenario_from_kv
 from .harness import (
     METHOD_KINDS,
     SOLVER_COUNTERS,
@@ -44,6 +44,7 @@ from .mapping import load_mapping
 from .solver import lame_correct
 from .streams import (
     ScenarioSpec,
+    batch_slices,
     generate_toy2d,
     load_embeddings,
     load_source,
@@ -129,7 +130,7 @@ def _correct(args, out: Path) -> None:
         raise ValueError(f"--batch-size must be positive, got {args.batch_size}")
     t0 = perf_counter()
     data = load_embeddings(args.input)
-    mapping = load_mapping(args.mapping, source_count=data.class_count) if args.mapping else None
+    mapping = load_mapping(args.mapping).over(data.class_count) if args.mapping else None
     kernel = KernelSpec(kind=args.kernel, k=args.k)
 
     # file order is preserved: correction is a filter, not an evaluation
@@ -157,8 +158,7 @@ def _correct(args, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "corrected.csv", "wb") as fh, ThreadPoolExecutor(max_workers=1) as pool:
         csvrows.write_header(fh, probs.shape[1])
-        for start in range(0, len(probs), args.batch_size):
-            sl = slice(start, start + args.batch_size)
+        for sl in batch_slices(len(probs), args.batch_size):
             t1 = perf_counter()
             W = kernel.build(data.features[sl])
             t2 = perf_counter()
@@ -167,7 +167,7 @@ def _correct(args, out: Path) -> None:
             timings["solve_s"] += perf_counter() - t2
             if written is not None:
                 wait()
-            written = pool.submit(_write_batch, fh, start, Z)
+            written = pool.submit(_write_batch, fh, sl.start, Z)
             diagnostics.append({"batch": len(diagnostics), "size": len(Z), **asdict(diag)})
         if written is not None:
             wait()
@@ -192,9 +192,9 @@ def cmd_simulate(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_embeddings(data, out / "dataset.lame.bin")
 
-    size = spec.batch_size
-    counts = [min(size, len(order) - start) for start in range(0, len(order), size)]
-    rows = ((i // size, row) for i, row in enumerate(order))
+    slices = batch_slices(len(order), spec.batch_size)
+    counts = [sl.stop - sl.start for sl in slices]
+    rows = ((i, row) for i, sl in enumerate(slices) for row in order[sl])
     _write_text(out / "stream.csv", csv_text(("batch_index", "sample_index"), rows))
     _write_json(
         out / "summary.json",
@@ -424,7 +424,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         args.func(args)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

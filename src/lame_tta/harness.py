@@ -81,7 +81,6 @@ class RunResult:
     method: str
     hyperparameters: dict
     seed: int
-    batch_accuracies: list[float]
     batch_predictions: list[np.ndarray]
     n_samples: int
     overall_accuracy: float
@@ -93,7 +92,7 @@ class RunResult:
 
     @property
     def n_batches(self) -> int:
-        return len(self.batch_accuracies)
+        return len(self.batch_predictions)
 
 
 # RunResult's solver-health counters; `grid` sums them over the runs of
@@ -192,6 +191,8 @@ def _validate_stream(stream: list[Batch]) -> tuple[int, int]:
             raise ValueError(f"batch {i} dimensions disagree with the stream head")
         if b.labels is None:
             raise ValueError(f"batch {i} has no labels; online accuracy needs ground truth")
+        if len(b) == 0:
+            raise ValueError(f"batch {i} is empty")
     return d, K
 
 
@@ -267,7 +268,6 @@ def run_online(
     labels; the adapted methods start from ``source``."""
     timings = dict.fromkeys(STAGES, 0.0)
     preds_per_batch: list[np.ndarray] = []
-    accs: list[float] = []
     correct = total = 0
     solver_iterations = nonconverged = nonmonotone = 0
 
@@ -277,17 +277,14 @@ def run_online(
             nonconverged += not diag.converged
             nonmonotone += not diag.monotone
         preds_per_batch.append(preds)
-        hits = int((preds == batch.labels).sum())
-        correct += hits
+        correct += int((preds == batch.labels).sum())
         total += len(batch)
-        accs.append(hits / len(batch))
 
     return RunResult(
         scenario_id=scenario_id,
         method=method.label(),
         hyperparameters=method.hyperparameters(),
         seed=seed,
-        batch_accuracies=accs,
         batch_predictions=preds_per_batch,
         n_samples=total,
         overall_accuracy=correct / total,
@@ -461,7 +458,7 @@ class CrossShiftMatrix:
 
 
 def cross_shift_matrix(
-    acc_table: np.ndarray, baseline: np.ndarray, scenario_ids: list[str] | None = None
+    acc_table: np.ndarray, baseline: np.ndarray, scenario_ids: list[str]
 ) -> CrossShiftMatrix:
     """Build the S x S transfer matrix from an (H, S) accuracy table.
 
@@ -472,11 +469,9 @@ def cross_shift_matrix(
     baseline = np.asarray(baseline, dtype=float)
     if acc_table.ndim != 2 or acc_table.shape[1] != baseline.shape[0]:
         raise ValueError("accuracy table and baseline disagree on scenario count")
-    S = acc_table.shape[1]
-    ids = list(scenario_ids) if scenario_ids is not None else [str(i) for i in range(S)]
-    chosen = [int(np.argmax(acc_table[:, i])) for i in range(S)]
+    chosen = [int(np.argmax(acc_table[:, i])) for i in range(acc_table.shape[1])]
     values = np.array([acc_table[h] - baseline for h in chosen])
-    return CrossShiftMatrix(scenarios=ids, values=values, chosen=chosen)
+    return CrossShiftMatrix(scenarios=list(scenario_ids), values=values, chosen=chosen)
 
 
 @dataclass

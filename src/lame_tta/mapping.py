@@ -109,12 +109,12 @@ def pool_rows(Q: np.ndarray, m: ClassMapping, how: str = "average") -> np.ndarra
     return pooled / total[:, None]
 
 
-def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:
+def parse_mapping(text: str) -> ClassMapping:
     """Parse the tab-separated mapping format; errors carry line numbers.
 
-    The mapping covers the source classes up to the largest listed index;
-    with ``source_count``, it is widened to that many by
-    :meth:`ClassMapping.over`. Unlisted source classes are unmapped.
+    The mapping covers the source classes up to the largest listed index
+    (:meth:`ClassMapping.over` widens it to a dataset's classes). Unlisted
+    source classes are unmapped.
     """
     entries: list[tuple[int, str]] = []
     seen: set[int] = set()
@@ -152,10 +152,9 @@ def parse_mapping(text: str, source_count: int | None = None) -> ClassMapping:
         assignment[y] = labels.index(label)
     if not labels:
         raise MappingError("every source class is unmapped; no target classes defined")
-    m = ClassMapping(len(assignment), len(labels), tuple(assignment))
-    return m if source_count is None else m.over(source_count)
+    return ClassMapping(len(assignment), len(labels), tuple(assignment))
 
 
-def load_mapping(path, source_count: int | None = None) -> ClassMapping:
+def load_mapping(path) -> ClassMapping:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_mapping(fh.read(), source_count=source_count)
+        return parse_mapping(fh.read())

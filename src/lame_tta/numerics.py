@@ -1,5 +1,6 @@
 """Shared numeric primitives: the canonical row layout, a row-wise stable
-softmax and squared distances between feature rows.
+softmax, the 0 log 0 := 0 logarithm and squared distances between feature
+rows.
 
 Everything here runs at 64-bit precision. Reduction policy: batch-wide
 work runs once in the canonical row layout of :func:`canonical_row_order`
@@ -50,9 +51,15 @@ def in_canonical_layout(build, X: np.ndarray, *args) -> np.ndarray:
     return build(X[order], *args).take(inv, 0).take(inv, 1)
 
 
+def safe_log(x: np.ndarray) -> np.ndarray:
+    """Elementwise log with 0 where x is not positive, so ``x * safe_log(x)``
+    takes 0 log 0 := 0."""
+    return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), 0.0)
+
+
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax of an (N, K) score matrix."""
-    z = np.asarray(logits, dtype=float)
+    z = np.ascontiguousarray(logits, dtype=float)
     if z.ndim != 2 or z.shape[1] < 1:
         raise ValueError("softmax_rows expects a 2-D (N, K) array")
     if not np.all(np.isfinite(z)):

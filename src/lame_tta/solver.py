@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affinity import validate_affinity
-from .numerics import PROB_FLOOR, canonical_row_order, inverse_permutation, sorted_rowsums
+from .numerics import (PROB_FLOOR, canonical_row_order, inverse_permutation, safe_log,
+                       sorted_rowsums)
 
 MONOTONE_SLACK = 1e-9
 # stopping rule: the largest per-row L1 change below TOL, or MAX_ITER updates
@@ -61,7 +62,7 @@ def clamp_probs(Q: np.ndarray) -> np.ndarray:
     terms without measurably moving any prediction. Row sums are
     value-sorted, so the result does not depend on the class order.
     """
-    Q = np.asarray(Q, dtype=float)
+    Q = np.ascontiguousarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] < 1:
         raise ValueError("Q must be an (N, K) matrix of probability rows")
     lo = np.minimum.reduce(Q, axis=None, initial=0.0)  # NaN fails both tests
@@ -115,8 +116,7 @@ def _objective_from_coupling(
     np.multiply(T, Z, out=T)
     kl = float(np.add.reduce(T, axis=None))
     if kl != kl:
-        safe = np.where(Z > 0, Z, 1.0)
-        kl = float(np.where(Z > 0, Z * (np.log(safe) - logQ), 0.0).sum())
+        kl = float((Z * (safe_log(Z) - logQ)).sum())
     np.multiply(Z, E, out=T)
     lap = 0.5 * float(np.add.reduce(T, axis=None))
     return kl - lap
@@ -214,9 +214,7 @@ def lame_correct(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, SolveDiagnos
     Z_next, r = np.empty_like(Z), np.empty(len(Z))
     R = r[:, None]
     E = W @ Z
-    iterations = 0
     delta = float("inf")
-    converged = False
     with np.errstate(divide="ignore", invalid="ignore"):
         trace = [_objective_from_coupling(Z, logQ, E, Z_next)]
         for _ in range(MAX_ITER):
@@ -227,16 +225,14 @@ def lame_correct(Q: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, SolveDiagnos
             np.matmul(W, Z_next, out=E)
             trace.append(_objective_from_coupling(Z_next, logQ, E, Z))
             Z, Z_next = Z_next, Z
-            iterations += 1
             if delta < TOL:
-                converged = True
                 break
 
     monotone = all(b - a <= MONOTONE_SLACK for a, b in zip(trace, trace[1:]))
     diag = SolveDiagnostics(
-        iterations=iterations,
+        iterations=len(trace) - 1,
         objective_trace=trace,
-        converged=converged,
+        converged=delta < TOL,
         monotone=monotone,
         final_delta=delta,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .mapping import ClassMapping, pool_rows
 from .numerics import softmax_rows
-from .toy import RunningStats, ToyModel, fresh_model, toy_scores
+from .toy import VAR_EPS, RunningStats, ToyModel, fresh_model, toy_scores
 
 MAGIC = b"LAME"
 CONTAINER_VERSION = 1
@@ -28,10 +28,8 @@ FLAG_TASKS = 2
 class EmbeddingFormatError(ValueError):
     """Malformed embedding container; the message names the offending byte offset."""
 
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (byte offset {offset})")
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,7 @@ def generate_synthetic(
     X0 = means[labels] + cfg.cluster_spread * rng.standard_normal((len(labels), cfg.d))
 
     stats = RunningStats(mean=X0.mean(axis=0), var=X0.var(axis=0))
-    s0 = np.sqrt(stats.var + 1e-5)
+    s0 = np.sqrt(stats.var + VAR_EPS)
     mu_hat = (means - stats.mean) / s0
     dinv = s0**2 / cfg.cluster_spread**2
     V = mu_hat * dinv
@@ -201,7 +199,7 @@ def generate_toy2d(n: int, seed: int) -> tuple[Dataset, ToyModel, RunningStats]:
     )
     yt = (Xt[:, 1] > np.sin(Xt[:, 0])).astype(np.int64)
     stats = RunningStats(mean=Xt.mean(axis=0), var=Xt.var(axis=0))
-    xh = (Xt - stats.mean) / np.sqrt(stats.var + 1e-5)
+    xh = (Xt - stats.mean) / np.sqrt(stats.var + VAR_EPS)
     w = np.zeros(2)
     c = 0.0
     for _ in range(TOY2D_FIT_ITERS):
@@ -350,26 +348,29 @@ def stream_order(data: Dataset, spec: ScenarioSpec) -> np.ndarray:
     return _ordered_indices(spec.sampling, group_key, idx, np.random.default_rng(seed_order))
 
 
+def batch_slices(n: int, size: int) -> list[slice]:
+    """Consecutive slices of ``size`` rows over ``n`` rows; the final short
+    batch is kept."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 def make_stream(data: Dataset, spec: ScenarioSpec) -> list[Batch]:
-    """Cut the :func:`stream_order` into consecutive batches of
-    ``batch_size`` (the final short batch is kept), with the source
-    probabilities (softmax, pooled through the mapping when present) and
-    the labels (through the mapping) of its rows."""
+    """Cut the :func:`stream_order` into :func:`batch_slices` of
+    ``batch_size``, with the source probabilities (softmax, pooled through
+    the mapping when present) and the labels (through the mapping) of its
+    rows."""
     order = stream_order(data, spec)
     m, labels = _mapped_labels(data, spec)
     probs = source_probs(data.logits[order], m)
     out_labels = labels[order] if labels is not None else None
-    batches = []
-    for start in range(0, len(order), spec.batch_size):
-        sl = slice(start, start + spec.batch_size)
-        batches.append(
-            Batch(
-                features=data.features[order[sl]],
-                probs=probs[sl],
-                labels=out_labels[sl] if out_labels is not None else None,
-            )
+    return [
+        Batch(
+            features=data.features[order[sl]],
+            probs=probs[sl],
+            labels=out_labels[sl] if out_labels is not None else None,
         )
-    return batches
+        for sl in batch_slices(len(order), spec.batch_size)
+    ]
 
 
 # ---------------------------------------------------------------------------

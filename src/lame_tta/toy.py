@@ -20,6 +20,8 @@ from functools import partial
 
 import numpy as np
 
+from .numerics import safe_log
+
 VAR_EPS = 1e-5
 
 PARAM_NAMES = ("scale", "bias", "head_weights", "head_bias")
@@ -136,14 +138,10 @@ def toy_predict(model: ToyModel, X: np.ndarray, stats: RunningStats) -> np.ndarr
     return _forward(model, X, stats)[0]
 
 
-def _safe_log(Q: np.ndarray) -> np.ndarray:
-    return np.where(Q > 0, np.log(np.where(Q > 0, Q, 1.0)), 0.0)
-
-
 def _entropy(Q: np.ndarray):
     """Per-row entropy H of the softmax rows Q, and its gradient w.r.t.
     the pre-softmax scores."""
-    logQ = _safe_log(Q)
+    logQ = safe_log(Q)
     H = -(Q * logQ).sum(axis=1)
     return H, -(Q * (logQ + H[:, None]))
 
@@ -175,7 +173,7 @@ def shot_im_loss(model: ToyModel, X: np.ndarray, stats: RunningStats):
     Q, xhat, h = _forward(model, X, stats)
     H, dH = _entropy(Q)
     qbar = Q.mean(axis=0)
-    log_qbar = _safe_log(qbar)
+    log_qbar = safe_log(qbar)
     loss = float(H.mean() + (qbar * log_qbar).sum())
     inner = (Q * log_qbar[None, :]).sum(axis=1)
     G_marg = (Q * (log_qbar[None, :] - inner[:, None])) / N

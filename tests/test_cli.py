@@ -306,7 +306,7 @@ def test_correct_small_output_with_mapping_matches_reference(tmp_path):
          "--out", str(out)]
     ) == 0
     data = load_embeddings(inp)
-    probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=3))
+    probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping).over(3))
     expected = reference_corrected_csv(probs, data.features, KernelSpec("knn", 5), 16)
     assert (out / "corrected.csv").read_text() == expected
 
@@ -351,6 +351,31 @@ def test_correct_ragged_batches_keep_bytes_and_batch_order(tmp_path):
         softmax_rows(data.logits), data.features, KernelSpec("rbf", 3), 48
     )
     assert outputs["corrected.csv"].decode() == expected
+
+
+@pytest.mark.parametrize("kernel", ["knn", "rbf", "linear"])
+def test_correct_permuted_records_and_classes_permute_the_rows(tmp_path, kernel):
+    # the README's permutation promise through the command: records
+    # shuffled inside each --batch-size block, classes shuffled everywhere
+    N, K, size = 40, 7, 16
+    data = load_embeddings(make_embedding_file(tmp_path, N=N, K=K, d=5, seed=3))
+    rng = np.random.default_rng(4)
+    rows = np.concatenate([sl.start + rng.permutation(sl.stop - sl.start)
+                           for sl in streams.batch_slices(N, size)])
+    classes = rng.permutation(K)
+    save_embeddings(Dataset(data.features[rows], data.logits[rows][:, classes], None, K),
+                    tmp_path / "permuted.bin")
+    lines = {}
+    for name in ("data", "permuted"):
+        argv = ["correct", "--input", str(tmp_path / f"{name}.bin"), "--kernel", kernel,
+                "--k", "3", "--batch-size", str(size), "--out", str(tmp_path / name)]
+        assert main_bounded(argv) == 0
+        lines[name] = (tmp_path / name / "corrected.csv").read_text().splitlines()[1:]
+    for i, line in enumerate(lines["permuted"]):
+        _, pred, *probs = line.split(",")
+        _, want_pred, *want = lines["data"][rows[i]].split(",")
+        assert classes[int(pred)] == int(want_pred)
+        assert probs == [want[c] for c in classes]
 
 
 def test_correct_later_batch_error_leaves_no_csv(tmp_path, capsys):
@@ -557,7 +582,7 @@ def test_correct_pooled_twenty_thousand_values_match_reference(tmp_path):
          "--batch-size", "512", "--out", str(out)]
     ) == 0
     data = load_embeddings(inp)
-    probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping, source_count=40))
+    probs = pool_rows(softmax_rows(data.logits), load_mapping(mapping).over(40))
     expected = reference_corrected_csv(probs, data.features, KernelSpec("rbf", 5), 512)
     assert (out / "corrected.csv").read_text() == expected
 

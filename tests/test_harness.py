@@ -23,7 +23,7 @@ from lame_tta.harness import (
     seed_means,
     synthetic_family,
 )
-from lame_tta.streams import Dataset, ScenarioSpec, SyntheticConfig, save_embeddings
+from lame_tta.streams import Batch, Dataset, ScenarioSpec, SyntheticConfig, save_embeddings
 from lame_tta.toy import PARTITIONS, AdaptConfig
 from oracles import reference_adapted_run
 
@@ -81,9 +81,18 @@ def test_run_online_deterministic_modulo_timings():
     r1 = run_online(stream, spec, 5, "D", source)
     r2 = run_online(stream, spec, 5, "D", source)
     assert r1.overall_accuracy == r2.overall_accuracy
-    assert r1.batch_accuracies == r2.batch_accuracies
+    assert r1.n_batches == r2.n_batches == len(stream)
     for p1, p2 in zip(r1.batch_predictions, r2.batch_predictions):
         assert np.array_equal(p1, p2)
+
+
+@pytest.mark.parametrize("kind", harness.METHOD_KINDS)
+def test_run_online_rejects_an_empty_batch(kind):
+    stream, source = scenario("A").build(0)
+    empty = Batch(np.empty((0, CFG.d)), np.empty((0, CFG.K)), np.empty(0, np.int64))
+    spec = baseline_spec() if kind == "baseline" else default_grid(kind)[0]
+    with pytest.raises(ValueError, match="batch 1 is empty"):
+        run_online([stream[0], empty, *stream[1:]], spec, 0, "A", source)
 
 
 def test_run_online_counts_solver_health(monkeypatch):
@@ -291,7 +300,7 @@ def test_cross_shift_matrix_hand_example():
 def test_cross_shift_matrix_single_point_identical_rows():
     acc = np.array([[0.7, 0.6, 0.5]])
     baseline = np.array([0.5, 0.5, 0.5])
-    m = cross_shift_matrix(acc, baseline)
+    m = cross_shift_matrix(acc, baseline, ["a", "b", "c"])
     assert np.array_equal(m.values[0], m.values[1])
     assert np.array_equal(m.values[0], m.values[2])
 
@@ -299,7 +308,7 @@ def test_cross_shift_matrix_single_point_identical_rows():
 def test_cross_shift_matrix_zero_when_equal_to_baseline():
     acc = np.array([[0.5, 0.4], [0.5, 0.4]])
     baseline = np.array([0.5, 0.4])
-    m = cross_shift_matrix(acc, baseline)
+    m = cross_shift_matrix(acc, baseline, ["a", "b"])
     assert np.all(m.values == 0.0)
 
 
@@ -309,7 +318,7 @@ def test_cross_shift_diagonal_dominance_random_tables():
         H, S = int(rng.integers(1, 8)), int(rng.integers(1, 6))
         acc = rng.random((H, S))
         baseline = rng.random(S)
-        m = cross_shift_matrix(acc, baseline)
+        m = cross_shift_matrix(acc, baseline, [str(j) for j in range(S)])
         assert m.check_diagonal_dominance()
 
 

@@ -175,14 +175,13 @@ def test_parse_mapping_all_null_rejected():
 
 def test_parse_mapping_source_count_enforced():
     with pytest.raises(MappingError):
-        parse_mapping("5\tA\n", source_count=3)
+        parse_mapping("5\tA\n").over(3)
 
 
 def test_mapping_over_a_class_count_leaves_trailing_classes_unmapped():
     m = parse_mapping("0\tA\n1\tB\n2\tA\n")
     wide = m.over(5)
     assert wide.assignment == (0, 1, 0, -1, -1)
-    assert wide == parse_mapping("0\tA\n1\tB\n2\tA\n", source_count=5)
     assert m.over(3) == m
     with pytest.raises(MappingError, match="mapping covers 3 source classes but the dataset has 2"):
         m.over(2)

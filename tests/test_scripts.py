@@ -76,7 +76,7 @@ def test_snapshot_outputs_script_is_byte_identical_across_runs(tmp_path):
     assert set(codes.values()) == {"0", "1"}
     for name in ("grid_shot_im/grid_results.csv", "matrix_lame/matrix.csv",
                  "simulate_tasks/stream.csv", "correct_mapped/corrected.csv",
-                 "correct_wider/corrected.csv"):
+                 "correct_wider/corrected.csv", "correct_mapped_partial/corrected.csv"):
         assert name in a
     # the failed run into correct_reused/ removed the good run's outputs
     assert not [name for name in a if name.startswith("correct_reused/")]

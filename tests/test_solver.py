@@ -222,6 +222,29 @@ def test_features_to_z_permutation_equivariance_bitwise(kind):
         assert np.array_equal(Z_p, Z[p])
 
 
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@given(N=st.integers(2, 40), d=st.integers(1, 8), K=st.integers(1, 12),
+       scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_features_to_z_permutation_equivariance_bitwise_in_any_layout(kind, N, d, K, scale, seed):
+    # column indexing (Q[:, c]) returns a Fortran-ordered array; the
+    # softmax, the clamp and the kernel builds must give that array's
+    # values the same bits as a C-ordered copy
+    rng = np.random.default_rng(seed)
+    X = 10.0**scale * rng.standard_normal((N, d))
+    logits = 3.0 * rng.standard_normal((N, K))
+    Q = softmax_rows(logits)
+    spec = KernelSpec(kind, 5)
+    Z, _ = lame_correct(Q, spec.build(X))
+    p, c = rng.permutation(N), rng.permutation(K)
+    Z_pc, _ = lame_correct(Q[p][:, c], spec.build(X[p]))
+    assert np.array_equal(Z_pc, Z[p][:, c])
+    F = np.asfortranarray
+    assert np.array_equal(softmax_rows(F(logits)), Q)
+    assert np.array_equal(spec.build(F(X)), spec.build(X))
+    assert np.array_equal(lame_correct(F(Q), spec.build(X))[0], Z)
+
+
 def blas_case_digests() -> list[str]:
     """Z digests of three solves whose products are large enough for BLAS
     to split across threads."""
