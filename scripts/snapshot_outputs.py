@@ -3,14 +3,14 @@
 
 Writes a labeled container with task ids, a second container whose
 features are points of the integer lattice {1,2,3}^6 with some rows (and
-their logits) repeated, containers with 1,000 and 10,000 classes, one
-whose rows all coincide, one whose third batch of 32 rows coincides, a
-superclass mapping and one that lists 4 of 6 classes, and scenario and
-family configs under --out, then runs each subcommand
-in-process from inside that directory with relative paths, one output
-directory per run (two runs share one), and records every run's exit
-code in `exit_codes.txt`. Two snapshots of code with the same outputs then
-compare clean with
+their logits) repeated, containers with 1,000 and 10,000 classes, one of
+600 rows for dense batches of 512, one whose rows all coincide, one whose
+third batch of 32 rows coincides, a superclass mapping and one that lists
+4 of 6 classes, and scenario and family configs under --out, then runs
+each subcommand in-process from inside that directory with relative
+paths, one output directory per run (two runs share one), and records
+every run's exit code in `exit_codes.txt`. Two snapshots of code with the
+same outputs then compare clean with
 
     diff -r -x timings.json A B
 
@@ -79,6 +79,13 @@ RUNS = [
     # corrected.csv in chunks of a few rows, and of one row each
     ("correct_wide", ["correct", "--input", "wide.lame.bin", "--batch-size", "32"]),
     ("correct_wider", ["correct", "--input", "wider.lame.bin", "--batch-size", "32"]),
+    # dense W at the benchmark's batch of 512 rows, then a tail of 88
+    *(
+        (f"correct_dense512_{kernel}",
+         ["correct", "--input", "dense600.lame.bin", "--kernel", kernel,
+          "--batch-size", "512"])
+        for kernel in ("rbf", "linear")
+    ),
     # a failed run into the --out of a good one leaves none of correct's outputs
     ("correct_reused",
      ["correct", "--input", "data.lame.bin", "--kernel", "rbf", "--k", "3", "--batch-size", "32"]),
@@ -104,6 +111,8 @@ RUNS = [
     ("sweep_repeated_size",
      ["sweep", "--config", "family.cfg", "--sizes", "8,8,16", "--workers", "1"]),
     ("toy2d_repeated_seed", [*TOY2D, "--lrs", "0.1", "--seeds", "0,1,1"]),
+    # two lrs that would write one toy2d_*_lr0.1.csv are an error
+    ("toy2d_colliding_lr", [*TOY2D, "--lrs", "0.1,0.1000001", "--seeds", "0"]),
     # a repeated inline synthetic parameter is an error, not the last one
     ("simulate_repeated_param", ["simulate", "--config", "scenario_repeated_param.cfg"]),
 ]
@@ -139,6 +148,12 @@ def write_inputs() -> None:
             labels=None,
             class_count=classes,
         ), f"{name}.lame.bin")
+    save_embeddings(Dataset(
+        features=rng.standard_normal((600, 32)),
+        logits=rng.standard_normal((600, K)),
+        labels=None,
+        class_count=K,
+    ), "dense600.lame.bin")
     # the first batch of 32 rows is one point repeated: a zero rbf bandwidth
     save_embeddings(Dataset(
         features=np.repeat(data.features[:1], N, axis=0),

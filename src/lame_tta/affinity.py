@@ -3,7 +3,10 @@
 Three kernels: a k-nearest-neighbour indicator (symmetrized), a cosine
 linear kernel, and an RBF kernel whose bandwidth is the mean
 distance of each point to its k-th neighbour. All of them exclude
-self-affinity (zero diagonal) and return exactly symmetric matrices.
+self-affinity (zero diagonal) and return exactly symmetric matrices:
+the kNN indicator by its (A + A^T)/2, the two dense kernels because
+their Gram ``X @ X.T`` is exactly symmetric already (see
+:func:`~lame_tta.numerics.sq_distances`), so no pass re-symmetrizes them.
 :meth:`KernelSpec.build` is the one way to build a batch's W.
 """
 
@@ -111,7 +114,6 @@ def _cosine(X: np.ndarray) -> np.ndarray:
     """Cosine affinity w_ij = x_i^T x_j in [-1, 1] of L2-normalized rows,
     diagonal zeroed; bitwise permutation-equivariant on distinct rows."""
     W = X @ X.T
-    W = (W + W.T) / 2.0
     np.fill_diagonal(W, 0.0)
     return W
 

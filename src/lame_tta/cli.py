@@ -66,7 +66,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # strict JSON: a NaN or an infinity is an error, not a bare token
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # parsed arguments the manifest leaves out: the subcommand is its own key,
@@ -219,6 +220,14 @@ def cmd_toy2d(args) -> None:
     out = Path(args.out)
     lrs = parse_list(args.lrs, float, "--lrs")
     seeds = parse_list(args.seeds, int, "--seeds")
+    # the series files name each lr by :g; two lrs must not share a file
+    named = {}
+    for lr in lrs:
+        name = f"{lr:g}"
+        if name in named:
+            raise ValueError(f"--lrs values {named[name]!r} and {lr!r} both write "
+                             f"toy2d_*_lr{name}.csv")
+        named[name] = lr
 
     # per seed, {lr: (entropy series, accuracy series)}; lr 0 is the baseline
     runs = []

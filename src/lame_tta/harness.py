@@ -510,7 +510,8 @@ def batch_size_sweep(
 
 def aggregate_report(rows: list[dict]) -> list[dict]:
     """Per (scenario, method): mean, sample std, min, max of accuracy over
-    the rows of a results CSV (:func:`rows_from_csv`)."""
+    the rows of a results CSV (:func:`rows_from_csv`, which checks each
+    accuracy)."""
     groups: dict[tuple[str, str], list[float]] = {}
     for r in rows:
         groups.setdefault((r["scenario"], r["method"]), []).append(float(r["accuracy"]))
@@ -596,11 +597,27 @@ def results_to_csv(results: list[RunResult]) -> str:
 
 
 def rows_from_csv(text: str) -> list[dict]:
+    """The records of a results CSV, each ``accuracy`` parsed to a float:
+    a cell that is not a finite number in [0, 1] is an error naming its
+    CSV line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = set(RESULT_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"results CSV missing columns: {sorted(missing)}")
-    return list(reader)
+    rows = []
+    for row in reader:
+        try:
+            accuracy = float(row["accuracy"])
+        except (TypeError, ValueError):  # a short row leaves the cell None
+            accuracy = None
+        # NaN fails the comparison
+        if accuracy is None or not 0.0 <= accuracy <= 1.0:
+            raise ValueError(
+                f"results CSV line {reader.line_num}: accuracy {row['accuracy']!r} is "
+                "not a finite number in [0, 1]"
+            )
+        rows.append({**row, "accuracy": accuracy})
+    return rows
 
 
 def matrix_from_rows(rows: list[dict]) -> CrossShiftMatrix:

@@ -70,18 +70,21 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def sq_distances(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of X, in X's own row
-    layout, from a plain ``X @ X.T``: exactly symmetric with an exactly
-    zero diagonal, entries clipped at 0 against Gram-trick rounding. Run
-    :func:`in_canonical_layout`, permuting distinct rows of X permutes it
-    bitwise."""
-    # D = (E + E.T) / 2 with E_ij = (sq_i + sq_j) - 2 G_ij, evaluated in
-    # that order in two N x N buffers; G's buffer is reused, so sq is a copy
+    layout, from a plain ``X @ X.T``, entries clipped at 0 against
+    Gram-trick rounding. Run :func:`in_canonical_layout`, permuting
+    distinct rows of X permutes it bitwise.
+
+    It is exactly symmetric with an exactly zero diagonal, with no repair
+    pass: numpy computes the Gram G = X @ X.T of a C-contiguous X as one
+    triangle (BLAS ``syrk``) copied onto the other, so G_ij == G_ji; then
+    E_ij = (sq_i + sq_j) - 2 G_ij equals E_ji, since float addition
+    commutes, and E_ii = 2 sq_i - 2 G_ii is 0, since sq is G's own
+    diagonal."""
+    # D = E with E_ij = (sq_i + sq_j) - 2 G_ij, evaluated in that order in
+    # two N x N buffers and written over G's, so sq is a copy
     D = X @ X.T
     sq = np.diagonal(D).copy()
     S = np.add(sq[:, None], sq[None, :])
-    np.subtract(S, np.multiply(D, 2.0, out=D), out=S)
-    np.add(S, S.T, out=D)
-    np.divide(D, 2.0, out=D)
+    np.subtract(S, np.multiply(D, 2.0, out=D), out=D)
     np.clip(D, 0.0, None, out=D)
-    np.fill_diagonal(D, 0.0)
     return D

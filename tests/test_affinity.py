@@ -177,6 +177,21 @@ def test_overflowing_squared_distances_raise_one_error_without_warnings(kind):
     assert np.all(np.isfinite(W)) and np.any(W)
 
 
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_builds_at_the_overflow_edge_equal_the_rescaled_builds_bitwise(kind):
+    # antipodal rows whose squared distance, 1.2e308, is finite but whose
+    # double is not: scaling by a power of two scales every product and
+    # sum exactly, so W must not change. A pass that summed E + E.T would
+    # overflow there, with a warning, and zero the rbf weight of the
+    # antipodal pair
+    v = np.full((1, 3), math.sqrt(0.1e308))
+    X = np.concatenate([v, -v, 0.5 * v])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = KernelSpec(kind, 1).build(X)
+    assert W.tobytes() == KernelSpec(kind, 1).build(X * 2.0**-520).tobytes()
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_all_kernels_symmetric_zero_diag(seed):
@@ -193,6 +208,32 @@ def test_all_kernels_symmetric_zero_diag(seed):
             assert W.min() >= 0
         assert np.max(np.abs(W - W.T)) <= 1e-12
         assert np.all(np.diagonal(W) == 0.0)
+
+
+@given(N=st.integers(1, 600), d=st.integers(1, 300), scale=st.floats(-3.0, 3.0),
+       repeat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_gram_and_every_build_are_bitwise_symmetric_with_zero_diagonal(N, d, scale, repeat,
+                                                                       seed):
+    # no pass re-symmetrizes the dense builds: numpy's X @ X.T copies one
+    # computed triangle onto the other, and the distances and kernels
+    # inherit its exact symmetry; rows drawn with repeats coincide
+    rng = np.random.default_rng(seed)
+    X = 10.0**scale * rng.standard_normal((N, d))
+    if repeat:
+        X = X[rng.integers(0, N, N)]
+    G = X @ X.T
+    assert G.tobytes() == G.T.tobytes()
+    D = in_canonical_layout(sq_distances, X)
+    assert D.tobytes() == D.T.tobytes()
+    assert not np.diagonal(D).any()
+    for kind in KERNEL_KINDS:
+        try:
+            W = KernelSpec(kind, 5).build(X)
+        except ValueError:
+            continue
+        assert W.tobytes() == W.T.tobytes(), kind
+        assert not np.diagonal(W).any(), kind
 
 
 @given(st.integers(0, 2**32 - 1))

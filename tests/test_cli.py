@@ -832,6 +832,17 @@ def test_toy2d_bad_stream_size_names_its_flags(tmp_path, capsys, batches, batch_
     assert not out.exists()
 
 
+def test_toy2d_lrs_that_share_a_file_name_exit_1_before_any_run(tmp_path, capsys):
+    # the series files name an lr by :g, so 0.1 and 0.1000001 would both
+    # write toy2d_*_lr0.1.csv and the second would overwrite the first
+    out = tmp_path / "toy"
+    assert main(["toy2d", "--lrs", "0.1,0.1000001", "--seeds", "0", "--batches", "4",
+                 "--batch-size", "8", "--out", str(out)]) == 1
+    assert ("--lrs values 0.1 and 0.1000001 both write toy2d_*_lr0.1.csv"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -932,6 +943,20 @@ def test_readme_library_table_names_only_existing_names():
                 target = getattr(target, part, None)
             if target is None:
                 missing.append(f"{module_name}: {name}")
+    assert missing == []
+
+
+def test_readme_test_references_name_existing_tests():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    references = re.findall(r"tests/(\w+\.py)::(\w+)", readme)
+    assert len(references) >= 2
+    missing = [
+        f"tests/{name}::{test}" for name, test in references
+        if not (root / "tests" / name).is_file()
+        or not re.search(rf"^def {test}\(", (root / "tests" / name).read_text(encoding="utf-8"),
+                         re.MULTILINE)
+    ]
     assert missing == []
 
 
@@ -1133,6 +1158,49 @@ def test_results_header_and_reading_the_old_normalize_features_column(tmp_path):
         assert read_outputs(outs[0], exclude=("manifest.json",)) == read_outputs(
             outs[1], exclude=("manifest.json",)
         )
+
+
+def results_with_accuracy(tmp_path, cell):
+    # baseline and one method on one scenario: a complete table whose
+    # third line holds the accuracy cell under test
+    return write(
+        tmp_path / "r.csv",
+        f"{RESULTS_HEADER}\n"
+        "A,baseline,baseline,,,,,,,0,10,2,0.5\n"
+        f"A,lame[k=1],lame,knn,1,,,,,0,10,2,{cell}\n",
+    )
+
+
+READERS_OF_RESULTS = [("matrix", "--grid-results"), ("report", "--results")]
+
+
+@pytest.mark.parametrize("subcommand, flag", READERS_OF_RESULTS)
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "", "abc", "1.5", "-0.1"])
+def test_bad_accuracy_cell_exits_1_naming_its_line(tmp_path, capsys, subcommand, flag, cell):
+    # read as floats, nan and inf would become bare NaN and Infinity
+    # tokens in summary.json, which strict JSON parsers reject
+    out = tmp_path / "out"
+    results = results_with_accuracy(tmp_path, cell)
+    assert main([subcommand, flag, str(results), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"results CSV line 3: accuracy {cell!r} is not a finite number in [0, 1]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, flag", READERS_OF_RESULTS)
+@pytest.mark.parametrize("cell", ["0", "1.0", "0.5e0"])
+def test_accuracy_cells_at_the_bounds_are_read(tmp_path, subcommand, flag, cell):
+    out = tmp_path / "out"
+    results = results_with_accuracy(tmp_path, cell)
+    assert main([subcommand, flag, str(results), "--out", str(out)]) == 0
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=pytest.fail)
+
+
+def test_json_outputs_reject_nan_and_infinity(tmp_path):
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "x.json", {"value": value})
 
 
 def test_matrix_requires_complete_table(tmp_path):

@@ -7,6 +7,7 @@ from lame_tta import harness, solver, toy
 from lame_tta.affinity import KernelSpec
 from lame_tta.config import family_from_kv
 from lame_tta.harness import (
+    RESULT_COLUMNS,
     MethodSpec,
     Scenario,
     aggregate_report,
@@ -358,6 +359,15 @@ def test_results_csv_round_trip():
     m = matrix_from_rows(rows)
     assert m.scenarios == ["A"]
     assert m.check_diagonal_dominance()
+
+
+def test_rows_from_csv_parses_each_accuracy_once():
+    header = ",".join(RESULT_COLUMNS)
+    rows = rows_from_csv(f"{header}\nA,m,,,,,,,,0,10,2,0.25\n")
+    assert rows[0]["accuracy"] == 0.25
+    # a short row has no accuracy cell at all
+    with pytest.raises(ValueError, match="line 3: accuracy None is not"):
+        rows_from_csv(f"{header}\nA,m,,,,,,,,0,10,2,1\nA,m\n")
 
 
 def test_seed_means_keep_first_appearance_order():

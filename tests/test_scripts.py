@@ -71,12 +71,13 @@ def test_snapshot_outputs_script_is_byte_identical_across_runs(tmp_path):
     assert [name for name in a if a[name] != b[name]] == []
     codes = dict(line.split() for line in a["exit_codes.txt"].decode().splitlines())
     failing = {"sweep_repeated_size", "toy2d_repeated_seed", "simulate_repeated_param",
-               "correct_reused_coincident", "correct_late_coincident"}
+               "correct_reused_coincident", "correct_late_coincident", "toy2d_colliding_lr"}
     assert {name for name, code in codes.items() if code != "0"} == failing
     assert set(codes.values()) == {"0", "1"}
     for name in ("grid_shot_im/grid_results.csv", "matrix_lame/matrix.csv",
                  "simulate_tasks/stream.csv", "correct_mapped/corrected.csv",
-                 "correct_wider/corrected.csv", "correct_mapped_partial/corrected.csv"):
+                 "correct_wider/corrected.csv", "correct_mapped_partial/corrected.csv",
+                 "correct_dense512_rbf/corrected.csv", "correct_dense512_linear/corrected.csv"):
         assert name in a
     # the failed run into correct_reused/ removed the good run's outputs
     assert not [name for name in a if name.startswith("correct_reused/")]

@@ -223,7 +223,7 @@ def test_features_to_z_permutation_equivariance_bitwise(kind):
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
-@given(N=st.integers(2, 40), d=st.integers(1, 8), K=st.integers(1, 12),
+@given(N=st.integers(2, 300), d=st.integers(1, 8), K=st.integers(1, 50),
        scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_features_to_z_permutation_equivariance_bitwise_in_any_layout(kind, N, d, K, scale, seed):
@@ -246,14 +246,15 @@ def test_features_to_z_permutation_equivariance_bitwise_in_any_layout(kind, N, d
 
 
 def blas_case_digests() -> list[str]:
-    """Z digests of three solves whose products are large enough for BLAS
-    to split across threads."""
+    """W and Z digests of three solves whose products are large enough for
+    BLAS to split across threads."""
     digests = []
     for seed, kind, N, K in ((0, "rbf", 512, 20), (1, "linear", 256, 50), (2, "knn", 64, 1000)):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((N, 32))
-        Z, _ = lame_correct(random_probs(rng, N, K), KernelSpec(kind, k=5).build(X))
-        digests.append(hashlib.sha256(Z.tobytes()).hexdigest())
+        W = KernelSpec(kind, k=5).build(X)
+        Z, _ = lame_correct(random_probs(rng, N, K), W)
+        digests += [hashlib.sha256(M.tobytes()).hexdigest() for M in (W, Z)]
     return digests
 
 
